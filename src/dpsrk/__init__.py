@@ -22,7 +22,7 @@ from .detector import (
     up_dark_rate,
     up_efficiency,
 )
-from .link import ChannelStats, LinkScenario, channel_stats, p_click, p_dark, p_signal, qber
+from .link import ChannelStats, LinkScenario, channel_stats
 from .montecarlo import McConfig, McResult, simulate_intercept_resend, simulate_link
 from .presets import Preset, load_presets
 from .rate import (
@@ -87,12 +87,8 @@ __all__ = [
     "nep",
     "optimize_mu",
     "optimize_pump",
-    "p_click",
-    "p_dark",
-    "p_signal",
     "parse_scenario",
     "poisson_multiphoton",
-    "qber",
     "secure_rate",
     "secure_rate_from_parts",
     "serialize_scenario",

@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._search import golden_min, grid_bracket
 from .errors import ModelDomainError, ModelRangeError, NoFeasiblePointError
 
 # Pump powers (mW) the fitted curves are trusted on.  The quartic dark-rate
 # fit turns unphysical far outside the measured region, so evaluation beyond
 # this domain is an error rather than an extrapolation.
 SUPPORTED_PUMP_MAX_MW = 30.0
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class DetectorMode(enum.Enum):
@@ -226,33 +225,12 @@ def optimize_pump(
             )
         return PumpOperatingPoint(lo, up_efficiency(curve, lo), up_dark_rate(curve, lo))
 
-    n = 2048
-    best_i, best_v = 0, math.inf
-    for i in range(n + 1):
-        p = lo + (hi - lo) * i / n
-        v = objective(p)
-        if v < best_v:
-            best_i, best_v = i, v
-    if not math.isfinite(best_v):
+    a, b, best = grid_bracket(objective, lo, hi, 2048)
+    if not math.isfinite(best):
         raise NoFeasiblePointError(
             f"efficiency is zero over the whole pump range [{lo}, {hi}]"
         )
-
-    a = lo + (hi - lo) * max(best_i - 1, 0) / n
-    b = lo + (hi - lo) * min(best_i + 1, n) / n
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > 1e-6:
-        if fc <= fd:  # prefer the left bracket on ties
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-    p_star = (a + b) / 2.0
+    p_star = golden_min(objective, a, b, 1e-6)
     return PumpOperatingPoint(p_star, up_efficiency(curve, p_star), up_dark_rate(curve, p_star))
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .detector import DetectorSpec
-from .errors import InvalidRegimeError, ModelDomainError, UndefinedQBERError
+from .errors import InvalidRegimeError, ModelDomainError
 
 
 @dataclass(frozen=True)
@@ -114,25 +114,3 @@ def channel_stats(s: LinkScenario) -> ChannelStats:
         clamped=clamped,
     )
 
-
-def p_signal(s: LinkScenario) -> float:
-    """Signal click probability per window, clamped to <= 1."""
-    return channel_stats(s).p_signal
-
-
-def p_dark(s: LinkScenario) -> float:
-    """Dark click probability per window (n_detectors * d)."""
-    return channel_stats(s).p_dark
-
-
-def p_click(s: LinkScenario) -> float:
-    """Total click probability per window, clamped to <= 1."""
-    return channel_stats(s).p_click
-
-
-def qber(s: LinkScenario) -> float:
-    """Quantum bit error rate ``(p_dark/2 + b p_signal) / p_click``."""
-    stats = channel_stats(s)
-    if not stats.p_click > 0.0:
-        raise UndefinedQBERError("QBER is undefined: click probability is zero")
-    return stats.qber

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import link
+from . import link, security
 from .errors import ModelDomainError
 from .link import LinkScenario
 
@@ -151,7 +151,7 @@ def simulate_intercept_resend(cfg: McConfig) -> McResult:
     stats = link.channel_stats(cfg.scenario)
     b = cfg.scenario.baseline_error
     choices = np.asarray(cfg.delay_choices, dtype=np.int64)
-    floors = 0.5 * (1.0 - 1.0 / (2.0 * choices.astype(np.float64)))
+    floors = np.array([security.ir_error_floor(n) for n in cfg.delay_choices])
     clicks = 0
     errors = 0
     for j, n in _chunks(cfg.n_pulses):
@@ -189,7 +189,7 @@ def intercept_resend_expectation(cfg: McConfig) -> tuple[float, float]:
     b = cfg.scenario.baseline_error
     choices = cfg.delay_choices
     per_choice = [
-        0.5 * (1.0 - 1.0 / (2.0 * n)) if n != cfg.eve_delay_m else b for n in choices
+        security.ir_error_floor(n) if n != cfg.eve_delay_m else b for n in choices
     ]
     e_sig = (1.0 - cfg.ir_fraction) * b + cfg.ir_fraction * sum(per_choice) / len(choices)
     if stats.p_click > 0.0:

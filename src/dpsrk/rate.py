@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import link, security
+from ._search import golden_min, grid_bracket
 from .errors import (
     AboveCorrectionRangeError,
     ModelDomainError,
@@ -24,8 +25,6 @@ FLAG_CLAMPED = "clamped"
 FLAG_INSECURE = "insecure"
 FLAG_ABOVE_EC_RANGE = "above_ec_range"
 FLAG_DEADTIME_LIMITED = "deadtime_limited"
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,14 @@ def secure_rate_from_parts(
     return max(0.0, clock_hz * p_click * (tau - f * binary_entropy(qber)))
 
 
+def _dead_time_exponent(s: LinkScenario, p_click: float) -> float:
+    """Mean clicks ``delta nu p_click t_d`` arriving during one dead time."""
+    return s.effective_dead_time_delta * s.clock_hz * p_click * s.detector.dead_time
+
+
 def dead_time_factor(s: LinkScenario) -> float:
     """Rate reduction ``exp(-delta nu p_click t_d)`` from detector dead time."""
-    stats = link.channel_stats(s)
-    return math.exp(
-        -s.effective_dead_time_delta * s.clock_hz * stats.p_click * s.detector.dead_time
-    )
+    return math.exp(-_dead_time_exponent(s, link.channel_stats(s).p_click))
 
 
 def _attack_delay(s: LinkScenario, a: AttackModel) -> int:
@@ -92,77 +93,35 @@ def secure_rate(
     bypasses the error-correction table with a constant overhead.
 
     The returned point is never an exception: insecure or out-of-range
-    operating points carry zero rate plus explanatory flags.
+    operating points carry zero rate plus explanatory flags.  Without clicks
+    the QBER and f are NaN; above the correction table f is NaN.
     """
     stats = link.channel_stats(s)
-    n = _attack_delay(s, a)
-    flags: set[str] = set()
-    if stats.clamped:
-        flags.add(FLAG_CLAMPED)
-    sifted = s.clock_hz * stats.p_click
-
-    if not stats.p_click > 0.0:
-        flags.add(FLAG_INSECURE)
-        return RatePoint(
-            length_km=s.length_km,
-            p_signal=stats.p_signal,
-            p_dark=stats.p_dark,
-            p_click=stats.p_click,
-            qber=math.nan,
-            tau=0.0,
-            f_used=math.nan,
-            sifted_rate_hz=0.0,
-            secure_rate_hz=0.0,
-            secure_rate_deadtime_hz=0.0,
-            flags=frozenset(flags),
-        )
-
     e = stats.qber
-
-    if a.kind is AttackKind.HYBRID_BS_IR:
-        eta_bs = security.bs_transmission(s.detector, s.alpha_db_per_km, s.length_km)
-        gamma = security.surviving_fraction(s.mu, eta_bs, stats.p_signal, n, a.memory)
-        tau = security.shrink_hybrid(e, gamma, n)
-    else:
-        p_m = security.poisson_multiphoton(s.mu)
-        beta = security.single_photon_fraction(stats.p_click, p_m)
-        if beta <= 0.0:
-            tau = 0.0
+    flags: set[str] = {FLAG_CLAMPED} if stats.clamped else set()
+    tau, f_used, r, saturation = 0.0, math.nan, 0.0, 0.0
+    if stats.p_click > 0.0:
+        if a.kind is AttackKind.HYBRID_BS_IR:
+            n = _attack_delay(s, a)
+            eta_bs = security.bs_transmission(s.detector, s.alpha_db_per_km, s.length_km)
+            gamma = security.surviving_fraction(s.mu, eta_bs, stats.p_signal, n, a.memory)
+            tau = security.shrink_hybrid(e, gamma, n)
         else:
-            tau = security.shrink_individual(e, beta, a.memory)
-    if tau == 0.0:
-        flags.add(FLAG_INSECURE)
-
-    if f_fixed is not None:
-        f_used = f_fixed
-    else:
+            p_m = security.poisson_multiphoton(s.mu)
+            beta = security.single_photon_fraction(stats.p_click, p_m)
+            if beta > 0.0:
+                tau = security.shrink_individual(e, beta, a.memory)
         try:
-            f_used = security.f_ec(ec_table, e)
+            f_used = security.f_ec(ec_table, e) if f_fixed is None else f_fixed
         except AboveCorrectionRangeError:
-            flags.update((FLAG_ABOVE_EC_RANGE, FLAG_INSECURE))
-            return RatePoint(
-                length_km=s.length_km,
-                p_signal=stats.p_signal,
-                p_dark=stats.p_dark,
-                p_click=stats.p_click,
-                qber=e,
-                tau=tau,
-                f_used=math.nan,
-                sifted_rate_hz=sifted,
-                secure_rate_hz=0.0,
-                secure_rate_deadtime_hz=0.0,
-                flags=frozenset(flags),
-            )
-
-    r = secure_rate_from_parts(s.clock_hz, stats.p_click, e, tau, f_used)
-    if r == 0.0:
+            flags.add(FLAG_ABOVE_EC_RANGE)
+        else:
+            r = secure_rate_from_parts(s.clock_hz, stats.p_click, e, tau, f_used)
+            saturation = _dead_time_exponent(s, stats.p_click)
+            if saturation >= 1.0:
+                flags.add(FLAG_DEADTIME_LIMITED)
+    if tau == 0.0 or r == 0.0:
         flags.add(FLAG_INSECURE)
-    saturation = (
-        s.effective_dead_time_delta * s.clock_hz * stats.p_click * s.detector.dead_time
-    )
-    if saturation >= 1.0:
-        # mean clicks arriving during one dead time exceed one
-        flags.add(FLAG_DEADTIME_LIMITED)
     return RatePoint(
         length_km=s.length_km,
         p_signal=stats.p_signal,
@@ -171,7 +130,7 @@ def secure_rate(
         qber=e,
         tau=tau,
         f_used=f_used,
-        sifted_rate_hz=sifted,
+        sifted_rate_hz=s.clock_hz * stats.p_click,
         secure_rate_hz=r,
         secure_rate_deadtime_hz=r * math.exp(-saturation),
         flags=frozenset(flags),
@@ -219,34 +178,13 @@ def optimize_mu(
     def point(mu: float) -> RatePoint:
         return secure_rate(replace(s, mu=mu), a, ec_table=ec_table, f_fixed=f_fixed)
 
-    def value(mu: float) -> float:
-        return point(mu).secure_rate_deadtime_hz
+    def loss(mu: float) -> float:
+        return -point(mu).secure_rate_deadtime_hz
 
-    n = 512
-    best_i, best_v = 0, -math.inf
-    for i in range(n + 1):
-        mu = lo + (hi - lo) * i / n
-        v = value(mu)
-        if v > best_v:
-            best_i, best_v = i, v
-    if best_v <= 0.0:
+    a_mu, b_mu, best = grid_bracket(loss, lo, hi, 512)
+    if -best <= 0.0:
         return lo, point(lo)
-
-    a_mu = lo + (hi - lo) * max(best_i - 1, 0) / n
-    b_mu = lo + (hi - lo) * min(best_i + 1, n) / n
-    c = b_mu - _GOLDEN * (b_mu - a_mu)
-    d = a_mu + _GOLDEN * (b_mu - a_mu)
-    fc, fd = value(c), value(d)
-    while b_mu - a_mu > 1e-5:
-        if fc >= fd:  # prefer the left bracket on ties
-            b_mu, d, fd = d, c, fc
-            c = b_mu - _GOLDEN * (b_mu - a_mu)
-            fc = value(c)
-        else:
-            a_mu, c, fc = c, d, fd
-            d = a_mu + _GOLDEN * (b_mu - a_mu)
-            fd = value(d)
-    mu_star = (a_mu + b_mu) / 2.0
+    mu_star = golden_min(loss, a_mu, b_mu, 1e-5)
     return mu_star, point(mu_star)
 
 

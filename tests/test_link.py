@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpsrk.detector import DetectorMode, DetectorSpec
-from dpsrk.errors import InvalidRegimeError, ModelDomainError, UndefinedQBERError
-from dpsrk.link import channel_stats, p_click, p_dark, p_signal, qber
+from dpsrk.errors import InvalidRegimeError, ModelDomainError
+from dpsrk.link import channel_stats
 
 from conftest import INGAAS, si_scenario
 
@@ -21,15 +21,16 @@ def toy_detector(efficiency=1.0, dark=0.0, loss_db=0.0):
 class TestPSignal:
     def test_zero_loss(self):
         s = si_scenario(length_km=0.0, detector=toy_detector())
-        assert p_signal(s) == 0.2
+        assert channel_stats(s).p_signal == 0.2
 
     def test_fig3_si_at_100km(self):
         # mu eta 10^-(alpha L + L_r)/10 evaluated with a 50-digit oracle
-        assert p_signal(si_scenario(100.0)) == pytest.approx(3.4284517355791234e-4, rel=1e-12)
+        p_signal = channel_stats(si_scenario(100.0)).p_signal
+        assert p_signal == pytest.approx(3.4284517355791234e-4, rel=1e-12)
 
     def test_vanishes_at_extreme_loss(self):
         s = si_scenario(length_km=100.0, alpha_db_per_km=1000.0)
-        assert p_signal(s) < 1e-300
+        assert channel_stats(s).p_signal < 1e-300
 
     def test_clamped_above_one(self):
         s = si_scenario(length_km=0.0, mu=6.0, detector=toy_detector())
@@ -40,28 +41,29 @@ class TestPSignal:
 
 class TestPDark:
     def test_si_value(self):
-        assert p_dark(si_scenario()) == pytest.approx(7e-8, rel=1e-15)
+        assert channel_stats(si_scenario()).p_dark == pytest.approx(7e-8, rel=1e-15)
 
     def test_ingaas_value(self):
-        assert p_dark(si_scenario(detector=INGAAS)) == pytest.approx(1.84e-5, rel=1e-15)
+        p_dark = channel_stats(si_scenario(detector=INGAAS)).p_dark
+        assert p_dark == pytest.approx(1.84e-5, rel=1e-15)
 
     def test_zero(self):
-        assert p_dark(si_scenario(detector=toy_detector())) == 0.0
+        assert channel_stats(si_scenario(detector=toy_detector())).p_dark == 0.0
 
     def test_invalid_regime(self):
         s = si_scenario(detector=toy_detector(dark=0.4), n_detectors=3)
         with pytest.raises(InvalidRegimeError):
-            p_dark(s)
+            channel_stats(s)
 
 
 class TestPClick:
     def test_sum(self):
         s = si_scenario(100.0)
-        assert p_click(s) == pytest.approx(3.4291517355791234e-4, rel=1e-12)
+        assert channel_stats(s).p_click == pytest.approx(3.4291517355791234e-4, rel=1e-12)
 
     def test_zero(self):
         s = si_scenario(detector=toy_detector(efficiency=0.0))
-        assert p_click(s) == 0.0
+        assert channel_stats(s).p_click == 0.0
 
     def test_clamp_with_flag(self):
         s = si_scenario(length_km=0.0, mu=0.9, detector=toy_detector(dark=0.1))
@@ -72,39 +74,42 @@ class TestPClick:
     def test_composition_exact(self):
         # bit-for-bit sum below the clamp
         for length in (0.0, 10.0, 50.0, 123.4, 250.0):
-            s = si_scenario(length)
-            assert p_click(s) == p_signal(s) + p_dark(s)
+            stats = channel_stats(si_scenario(length))
+            assert stats.p_click == stats.p_signal + stats.p_dark
 
 
 class TestQber:
     def test_dark_only_is_half(self):
         s = si_scenario(detector=toy_detector(efficiency=0.0, dark=1e-6))
-        assert qber(s) == 0.5
+        assert channel_stats(s).qber == 0.5
 
     def test_no_dark_is_baseline(self):
         s = si_scenario(detector=toy_detector(efficiency=0.3))
-        assert qber(s) == pytest.approx(s.baseline_error, rel=1e-15)
+        assert channel_stats(s).qber == pytest.approx(s.baseline_error, rel=1e-15)
 
     def test_fig3_si_at_200km(self):
-        assert qber(si_scenario(200.0)) == pytest.approx(0.02227931240729725, rel=1e-12)
+        qber = channel_stats(si_scenario(200.0)).qber
+        assert qber == pytest.approx(0.02227931240729725, rel=1e-12)
 
     def test_undefined_when_no_clicks(self):
-        s = si_scenario(detector=toy_detector(efficiency=0.0))
-        with pytest.raises(UndefinedQBERError):
-            qber(s)
+        # the signal underflows to exactly 0 and there are no dark counts
+        s = si_scenario(length_km=1000.0, alpha_db_per_km=1000.0, detector=toy_detector())
+        stats = channel_stats(s)
+        assert stats.p_click == 0.0
+        assert math.isnan(stats.qber)
 
     @given(st.floats(min_value=0.0, max_value=400.0))
     def test_bounded(self, length):
-        e = qber(si_scenario(length))
+        e = channel_stats(si_scenario(length)).qber
         assert si_scenario().baseline_error <= e <= 0.5
 
     def test_monotone_in_length(self):
         lengths = [i * 5.0 for i in range(81)]
-        errors = [qber(si_scenario(length)) for length in lengths]
+        errors = [channel_stats(si_scenario(length)).qber for length in lengths]
         assert all(b >= a - 1e-15 for a, b in zip(errors, errors[1:]))
 
     def test_long_distance_limit(self):
-        assert qber(si_scenario(2000.0)) == pytest.approx(0.5, abs=1e-9)
+        assert channel_stats(si_scenario(2000.0)).qber == pytest.approx(0.5, abs=1e-9)
 
 
 class TestScaleLaw:
@@ -114,8 +119,8 @@ class TestScaleLaw:
     )
     def test_signal_factorizes_over_distance(self, l1, l2):
         s = si_scenario(l1 + l2)
-        expected = p_signal(si_scenario(l1)) * 10.0 ** (-0.21 * l2 / 10.0)
-        assert p_signal(s) == pytest.approx(expected, rel=1e-12)
+        expected = channel_stats(si_scenario(l1)).p_signal * 10.0 ** (-0.21 * l2 / 10.0)
+        assert channel_stats(s).p_signal == pytest.approx(expected, rel=1e-12)
 
 
 class TestScenarioValidation:

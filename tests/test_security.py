@@ -8,7 +8,7 @@ from dpsrk.errors import (
     ModelDomainError,
     UndefinedQBERError,
 )
-from dpsrk.link import p_signal
+from dpsrk.link import channel_stats
 from dpsrk.security import (
     CASCADE_EC_TABLE,
     AttackKind,
@@ -116,7 +116,7 @@ class TestBsTransmission:
     def test_identity_with_p_signal(self, length):
         s = si_scenario(length)
         eta_bs = bs_transmission(SI, s.alpha_db_per_km, length)
-        assert eta_bs * s.mu == pytest.approx(p_signal(s), rel=1e-15)
+        assert eta_bs * s.mu == pytest.approx(channel_stats(s).p_signal, rel=1e-15)
 
 
 class TestSurvivingFraction:
