@@ -128,7 +128,9 @@ def shrink_individual(e: float, beta: float, eve_memory: bool) -> float:
     With quantum memory Eve stores photons and measures after the delay
     announcement; without it she must measure immediately in a random basis,
     which weakens her collision probability.  Returns 0 when the bound
-    leaves no secret bits.
+    leaves no secret bits.  The bound's log argument rises to 1 (tau = 0) at
+    ``e / beta = 1/2`` with memory and ``e / (1 + beta) = 1/4`` without, and
+    turns back down beyond; there tau stays 0.
     """
     if beta <= 0.0:
         raise InsecureChannelError(
@@ -140,14 +142,16 @@ def shrink_individual(e: float, beta: float, eve_memory: bool) -> float:
         raise ModelDomainError(f"error rate must be >= 0, got {e}")
     if eve_memory:
         x = e / beta
+        if x >= 0.5:
+            return 0.0
         arg = 0.5 + 2.0 * x - 2.0 * x * x
         scale = beta
     else:
         y = e / (1.0 + beta)
+        if y >= 0.25:
+            return 0.0
         arg = 0.5 + 4.0 * y - 8.0 * y * y
         scale = (1.0 + beta) / 2.0
-    if arg <= 0.0:
-        return 0.0
     return max(0.0, -scale * math.log2(arg))
 
 

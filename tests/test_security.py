@@ -87,9 +87,14 @@ class TestShrinkIndividual:
         with pytest.raises(InsecureChannelError):
             shrink_individual(0.01, -0.2, eve_memory=False)
 
+    @pytest.mark.parametrize("memory, e", [(True, 0.12), (False, 0.36)])
+    def test_zero_past_turning_point(self, memory, e):
+        # beta = 0.2: e/beta = 0.6 > 1/2 with memory, e/(1 + beta) = 0.3 > 1/4 without
+        assert shrink_individual(e, 0.2, eve_memory=memory) == 0.0
+
     @given(st.floats(min_value=0.05, max_value=1.0), st.booleans())
     def test_non_increasing_in_error(self, beta, memory):
-        es = [beta / 2.0 * i / 16 for i in range(17)]
+        es = [0.5 * i / 32 for i in range(33)]
         taus = [shrink_individual(e, beta, memory) for e in es]
         assert all(b <= a + 1e-12 for a, b in zip(taus, taus[1:]))
 
