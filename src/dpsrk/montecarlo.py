@@ -118,9 +118,11 @@ def simulate_link(cfg: McConfig) -> McResult:
 
     Per window: a signal click with probability p_signal and a dark click
     with probability p_dark are drawn independently; a window with both
-    counts as one click carrying the signal's bit value (the overlap is
-    O(p_signal * p_dark) and ignored by the analytic model).  Signal clicks
-    flip with the baseline error rate, dark-only clicks with 1/2.
+    counts as one click carrying the signal's bit value.  Signal clicks
+    flip with the baseline error rate, dark-only clicks with 1/2.  The
+    overlap makes the click probability ``1 - (1 - p_signal)(1 - p_dark)``,
+    which :func:`link_expectation` uses, not the analytic model's sum
+    ``p_signal + p_dark``.
     """
     stats = link.channel_stats(cfg.scenario)
     b = cfg.scenario.baseline_error
@@ -172,28 +174,36 @@ def simulate_intercept_resend(cfg: McConfig) -> McResult:
     return McResult.from_counts(cfg.n_pulses, clicks, errors)
 
 
+def _window_expectation(stats: link.ChannelStats, e_signal: float) -> tuple[float, float]:
+    """Exact (p_click, qber) of the per-window sampler.
+
+    A window clicks unless both the signal and the dark draw miss; it
+    carries the signal's bit (error probability ``e_signal``) whenever the
+    signal fired, and a random bit on a dark-only click.
+    """
+    p_click = 1.0 - (1.0 - stats.p_signal) * (1.0 - stats.p_dark)
+    if not p_click > 0.0:
+        return p_click, math.nan
+    p_error = e_signal * stats.p_signal + 0.5 * (1.0 - stats.p_signal) * stats.p_dark
+    return p_click, p_error / p_click
+
+
 def link_expectation(cfg: McConfig) -> tuple[float, float]:
-    """Analytic (p_click, qber) the plain-link simulation converges to."""
-    stats = link.channel_stats(cfg.scenario)
-    return stats.p_click, stats.qber
+    """Exact (p_click, qber) the plain-link simulation converges to."""
+    return _window_expectation(link.channel_stats(cfg.scenario), cfg.scenario.baseline_error)
 
 
 def intercept_resend_expectation(cfg: McConfig) -> tuple[float, float]:
-    """Analytic (p_click, qber) for the intercept-resend mode.
+    """Exact (p_click, qber) for the intercept-resend mode.
 
     The per-window error probability on signal clicks averages the floor
     over Bob's delay choices that mismatch Eve's, weighted by the attacked
     fraction.
     """
-    stats = link.channel_stats(cfg.scenario)
     b = cfg.scenario.baseline_error
     choices = cfg.delay_choices
     per_choice = [
         security.ir_error_floor(n) if n != cfg.eve_delay_m else b for n in choices
     ]
     e_sig = (1.0 - cfg.ir_fraction) * b + cfg.ir_fraction * sum(per_choice) / len(choices)
-    if stats.p_click > 0.0:
-        qber = (0.5 * stats.p_dark + e_sig * stats.p_signal) / (stats.p_signal + stats.p_dark)
-    else:
-        qber = math.nan
-    return stats.p_click, qber
+    return _window_expectation(link.channel_stats(cfg.scenario), e_sig)

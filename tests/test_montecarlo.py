@@ -4,6 +4,7 @@ import pytest
 
 from dpsrk.detector import DetectorMode, DetectorSpec
 from dpsrk.errors import ModelDomainError
+from dpsrk.link import channel_stats
 from dpsrk.montecarlo import (
     CHUNK_WINDOWS,
     McConfig,
@@ -12,6 +13,7 @@ from dpsrk.montecarlo import (
     simulate_intercept_resend,
     simulate_link,
 )
+from dpsrk.presets import load_presets
 
 from conftest import si_scenario
 
@@ -120,10 +122,22 @@ class TestSimulateInterceptResend:
 
 class TestExpectations:
     def test_link_expectation_matches_channel(self):
+        # 50-digit values of 1 - (1 - p_s)(1 - p_d) and the per-window QBER;
+        # a window with both a signal and a dark click counts once
         cfg = McConfig(scenario=si_scenario(100.0), n_pulses=10, seed=0)
         p, q = link_expectation(cfg)
-        assert p == pytest.approx(3.4291517355791234e-4, rel=1e-12)
-        assert q == pytest.approx(0.010100024736858742, rel=1e-12)
+        assert p == pytest.approx(3.429151495587502e-4, rel=1e-12)
+        assert q == pytest.approx(0.010099990450858376, rel=1e-12)
+
+    def test_link_expectation_is_per_window_formula(self):
+        # fig12 InGaAs at 0 km: p_dark = 4e-3, so the overlap is not negligible
+        preset = load_presets()["fig12"]
+        s, _ = preset.scenario("ingaas", length_km=0.0)
+        stats = channel_stats(s)
+        p_s, p_d, b = stats.p_signal, stats.p_dark, s.baseline_error
+        p = 1.0 - (1.0 - p_s) * (1.0 - p_d)
+        q = (b * p_s + 0.5 * (1.0 - p_s) * p_d) / p
+        assert link_expectation(McConfig(scenario=s, n_pulses=10, seed=0)) == (p, q)
 
     def test_ir_expectation_reduces_to_link_at_zero_fraction(self):
         cfg = McConfig(scenario=si_scenario(100.0), n_pulses=10, seed=0, ir_fraction=0.0)
