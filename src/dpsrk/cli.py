@@ -64,6 +64,27 @@ class _Source:
     label: str
 
 
+def _finite_float(text: str) -> float:
+    """``type=`` converter for float options: NaN and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """``type=`` converter for comma-separated integers such as ``1,10,100``."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _load_source(args) -> _Source:
     if bool(args.scenario) == bool(args.preset):
         raise UsageError("exactly one of --scenario or --preset is required")
@@ -282,9 +303,6 @@ def _z_score(estimate: float, analytic: float, se: float) -> float:
 def _cmd_mc(args) -> int:
     source = _load_source(args)
     scenario, _attack = source.build(args.length)
-    bob_choices = None
-    if args.bob_n:
-        bob_choices = tuple(int(tok) for tok in args.bob_n.split(","))
     ir_fraction = args.ir_fraction
     if ir_fraction is None:
         ir_fraction = 1.0 if args.mode == "ir" else 0.0
@@ -294,7 +312,7 @@ def _cmd_mc(args) -> int:
         seed=args.seed,
         ir_fraction=ir_fraction,
         eve_delay_m=args.eve_m,
-        bob_delay_choices=bob_choices,
+        bob_delay_choices=args.bob_n,
     )
     if args.mode == "ir":
         result = montecarlo.simulate_intercept_resend(cfg)
@@ -397,11 +415,11 @@ def _add_source_args(sp: argparse.ArgumentParser) -> None:
         "--attack", choices=sorted(ATTACK_NAMES), default=None,
         help="attack model (preset default hybrid_nomem)",
     )
-    sp.add_argument("--delta", type=float, default=None,
+    sp.add_argument("--delta", type=_finite_float, default=None,
                     help="dead-time exponent scale (default 1/n_detectors)")
     sp.add_argument("--f-mode", choices=("table", "fixed"), default="table",
                     help="error-correction overhead: table interpolation or fixed value")
-    sp.add_argument("--f-value", type=float, default=None,
+    sp.add_argument("--f-value", type=_finite_float, default=None,
                     help="overhead used with --f-mode fixed (default: preset f or 1.16)")
 
 
@@ -411,51 +429,51 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("rate", help="evaluate one operating point")
     _add_source_args(sp)
-    sp.add_argument("--length", type=float, default=0.0, help="link length in km")
+    sp.add_argument("--length", type=_finite_float, default=0.0, help="link length in km")
     sp.add_argument("--csv", metavar="PATH", help="append the point as a CSV row")
     sp.set_defaults(func=_cmd_rate)
 
     sp = sub.add_parser("sweep", help="sweep an axis and emit CSV")
     _add_source_args(sp)
     sp.add_argument("--axis", choices=("distance", "pump", "mu"), required=True)
-    sp.add_argument("--lo", type=float, required=True)
-    sp.add_argument("--hi", type=float, required=True)
+    sp.add_argument("--lo", type=_finite_float, required=True)
+    sp.add_argument("--hi", type=_finite_float, required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--length", type=float, default=0.0,
+    sp.add_argument("--length", type=_finite_float, default=0.0,
                     help="fixed link length for mu/pump sweeps")
     sp.add_argument("--csv", metavar="PATH", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("max-distance", help="largest secure distance")
     _add_source_args(sp)
-    sp.add_argument("--rmin", type=float, default=0.0,
+    sp.add_argument("--rmin", type=_finite_float, default=0.0,
                     help="minimum acceptable rate in bit/s")
     sp.set_defaults(func=_cmd_max_distance)
 
     sp = sub.add_parser("optimize-mu", help="maximize the rate over mu")
     _add_source_args(sp)
-    sp.add_argument("--length", type=float, default=0.0, help="link length in km")
-    sp.add_argument("--lo", type=float, default=0.01)
-    sp.add_argument("--hi", type=float, default=1.0)
+    sp.add_argument("--length", type=_finite_float, default=0.0, help="link length in km")
+    sp.add_argument("--lo", type=_finite_float, default=0.01)
+    sp.add_argument("--hi", type=_finite_float, default=1.0)
     sp.set_defaults(func=_cmd_optimize_mu)
 
     sp = sub.add_parser("optimize-pump", help="NEP-optimal up-conversion pump")
     sp.add_argument("--scenario", metavar="PATH",
                     help="scenario file with an upconv block (default: built-in fit)")
-    sp.add_argument("--lo", type=float, default=0.0)
-    sp.add_argument("--hi", type=float, default=30.0)
+    sp.add_argument("--lo", type=_finite_float, default=0.0)
+    sp.add_argument("--hi", type=_finite_float, default=30.0)
     sp.set_defaults(func=_cmd_optimize_pump)
 
     sp = sub.add_parser("mc", help="Monte Carlo validation of the analytic model")
     _add_source_args(sp)
-    sp.add_argument("--length", type=float, default=0.0, help="link length in km")
+    sp.add_argument("--length", type=_finite_float, default=0.0, help="link length in km")
     sp.add_argument("--pulses", type=int, default=1_000_000, help="number of windows")
     sp.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
     sp.add_argument("--mode", choices=("link", "ir"), default="link")
-    sp.add_argument("--ir-fraction", type=float, default=None,
+    sp.add_argument("--ir-fraction", type=_finite_float, default=None,
                     help="attacked window fraction (default 1.0 in ir mode)")
     sp.add_argument("--eve-m", type=int, default=1, help="Eve's delay M")
-    sp.add_argument("--bob-n", metavar="N1,N2,...", default=None,
+    sp.add_argument("--bob-n", metavar="N1,N2,...", type=_int_list, default=None,
                     help="Bob's random delay choices (default: scenario delay)")
     sp.add_argument("--csv", metavar="PATH", help="also write the result as CSV")
     sp.set_defaults(func=_cmd_mc)

@@ -58,11 +58,11 @@ class DetectorSpec:
             raise ModelDomainError(
                 f"dark_per_window must be in [0, 0.5), got {self.dark_per_window}"
             )
-        if self.dead_time < 0.0:
-            raise ModelDomainError(f"dead_time must be >= 0, got {self.dead_time}")
-        if self.receiver_loss_db < 0.0:
+        if not 0.0 <= self.dead_time < math.inf:
+            raise ModelDomainError(f"dead_time must be finite and >= 0, got {self.dead_time}")
+        if not 0.0 <= self.receiver_loss_db < math.inf:
             raise ModelDomainError(
-                f"receiver_loss_db must be >= 0, got {self.receiver_loss_db}"
+                f"receiver_loss_db must be finite and >= 0, got {self.receiver_loss_db}"
             )
 
 

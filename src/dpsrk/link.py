@@ -44,27 +44,28 @@ class LinkScenario:
     dead_time_delta: float | None = None
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ModelDomainError(f"mu must be > 0, got {self.mu}")
-        if self.alpha_db_per_km < 0.0:
-            raise ModelDomainError(f"alpha must be >= 0, got {self.alpha_db_per_km}")
-        if self.length_km < 0.0:
-            raise ModelDomainError(f"length must be >= 0, got {self.length_km}")
-        if self.clock_hz <= 0.0:
-            raise ModelDomainError(f"clock rate must be > 0, got {self.clock_hz}")
+        # chained comparisons also reject NaN and +inf
+        if not 0.0 < self.mu < math.inf:
+            raise ModelDomainError(f"mu must be finite and > 0, got {self.mu}")
+        if not 0.0 <= self.alpha_db_per_km < math.inf:
+            raise ModelDomainError(f"alpha must be finite and >= 0, got {self.alpha_db_per_km}")
+        if not 0.0 <= self.length_km < math.inf:
+            raise ModelDomainError(f"length must be finite and >= 0, got {self.length_km}")
+        if not 0.0 < self.clock_hz < math.inf:
+            raise ModelDomainError(f"clock rate must be finite and > 0, got {self.clock_hz}")
         if not 0.0 <= self.baseline_error < 0.5:
             raise ModelDomainError(
                 f"baseline error must be in [0, 0.5), got {self.baseline_error}"
             )
-        if int(self.delay_n) != self.delay_n or self.delay_n < 1:
+        if not 1 <= self.delay_n < math.inf or int(self.delay_n) != self.delay_n:
             raise ModelDomainError(f"delay_n must be an integer >= 1, got {self.delay_n}")
-        if int(self.n_detectors) != self.n_detectors or self.n_detectors < 1:
+        if not 1 <= self.n_detectors < math.inf or int(self.n_detectors) != self.n_detectors:
             raise ModelDomainError(
                 f"n_detectors must be an integer >= 1, got {self.n_detectors}"
             )
-        if self.dead_time_delta is not None and self.dead_time_delta < 0.0:
+        if self.dead_time_delta is not None and not 0.0 <= self.dead_time_delta < math.inf:
             raise ModelDomainError(
-                f"dead_time_delta must be >= 0, got {self.dead_time_delta}"
+                f"dead_time_delta must be finite and >= 0, got {self.dead_time_delta}"
             )
 
     @property

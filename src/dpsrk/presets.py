@@ -18,7 +18,7 @@ from typing import Mapping
 from .detector import DetectorMode, DetectorSpec
 from .errors import ScenarioParseError
 from .link import LinkScenario
-from .scenario import ATTACK_NAMES, tokenize_kv
+from .scenario import ATTACK_NAMES, _parse_float, _parse_int, tokenize_kv
 from .security import AttackModel
 
 PRESET_DIR_ENV = "DPSRK_PRESET_DIR"
@@ -70,22 +70,26 @@ class Preset:
 
 
 def parse_preset(name: str, text: str) -> Preset:
-    seen: dict[str, str] = {}
-    for key, value, line, _col in tokenize_kv(text):
+    seen: dict[str, tuple[str, int, int]] = {}
+    for key, value, line, col in tokenize_kv(text):
         if key in seen:
             raise ScenarioParseError(f"duplicate key '{key}' in preset {name}", line, 1)
-        seen[key] = value
+        seen[key] = (value, line, col)
 
-    def fetch(key: str) -> str:
+    def fetch(key: str) -> tuple[str, int, int]:
         if key not in seen:
             raise ScenarioParseError(f"preset {name} is missing key '{key}'")
         return seen[key]
 
-    floats = {key: float(fetch(key)) for key in _PRESET_FLOAT_KEYS}
-    n_set = tuple(int(tok) for tok in fetch("n_set").split(","))
+    def fetch_float(key: str) -> float:
+        return _parse_float(key, *fetch(key))
+
+    floats = {key: fetch_float(key) for key in _PRESET_FLOAT_KEYS}
+    n_set_text, line, col = fetch("n_set")
+    n_set = tuple(_parse_int("n_set", tok, line, col) for tok in n_set_text.split(","))
     detectors = {}
     for variant in DETECTOR_VARIANTS:
-        params = {key: float(fetch(f"{variant}.{key}")) for key in _DETECTOR_KEYS}
+        params = {key: fetch_float(f"{variant}.{key}") for key in _DETECTOR_KEYS}
         detectors[variant] = DetectorSpec(
             name=variant,
             efficiency=params["efficiency"],

@@ -79,6 +79,16 @@ class TestRateCommand:
         assert rc == 1
         assert "mu" in err
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--length", "nan"), ("--length", "inf"), ("--length", "-inf"), ("--f-value", "nan")],
+    )
+    def test_non_finite_option_exits_one(self, capsys, option, value):
+        argv = ["rate", "--preset", "fig3", "--f-mode", "fixed", f"{option}={value}"]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1
+        assert "finite" in err
+
     def test_both_sources_rejected(self, capsys, basic_scenario_path):
         rc, _, err = run(
             capsys, "rate", "--preset", "fig3", "--scenario", basic_scenario_path
@@ -289,6 +299,12 @@ class TestMcCommand:
         assert main(args + ["--csv", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("bob_n", ["a,b", "1,,2", "1.5"])
+    def test_bad_bob_n_exits_one(self, capsys, bob_n):
+        rc, _, err = run(capsys, "mc", "--preset", "fig3", "--pulses", "10", "--bob-n", bob_n)
+        assert rc == 1
+        assert "--bob-n" in err
 
     def test_self_check_failure_exits_three(self, capsys, monkeypatch):
         # a skewed result must trip the |z| > 5 gate

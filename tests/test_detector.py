@@ -201,6 +201,9 @@ class TestDetectorSpecValidation:
             ("dark_per_window", 0.5),
             ("dead_time", -1e-9),
             ("receiver_loss_db", -0.5),
+            ("efficiency", math.nan),
+            ("dead_time", math.inf),
+            ("receiver_loss_db", math.nan),
         ],
     )
     def test_rejects_out_of_range(self, field, value):

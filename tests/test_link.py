@@ -137,6 +137,13 @@ class TestScenarioValidation:
             {"delay_n": 0},
             {"n_detectors": 0},
             {"dead_time_delta": -1.0},
+            {"mu": math.inf},
+            {"alpha_db_per_km": math.nan},
+            {"length_km": math.nan},
+            {"length_km": math.inf},
+            {"clock_hz": math.inf},
+            {"delay_n": math.nan},
+            {"dead_time_delta": math.nan},
         ],
     )
     def test_rejects(self, override):

@@ -132,3 +132,20 @@ class TestPresetParsing:
 
         with pytest.raises(ScenarioParseError):
             parse_preset("partial", text)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("mu = 0.2", "mu = 0.2x"),
+            ("n_set = 1,10,100", "n_set = 1,a,100"),
+            ("si.dead_time_s = 45e-9", "si.dead_time_s = inf"),
+        ],
+    )
+    def test_bad_number_reports_line_and_column(self, old, new):
+        from dpsrk.errors import ScenarioParseError
+
+        text = (preset_directory() / "fig3.preset").read_text()
+        line = text.splitlines().index(old) + 1
+        with pytest.raises(ScenarioParseError) as info:
+            parse_preset("fig3", text.replace(old, new))
+        assert (info.value.line, info.value.column) == (line, new.index("=") + 2)
