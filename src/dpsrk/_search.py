@@ -20,7 +20,7 @@ def grid_bracket(
     """Scan ``f`` on ``n + 1`` evenly spaced points of ``[lo, hi]``.
 
     Returns the grid neighbours ``(a, b)`` of the first minimum and the
-    minimum value itself; ``b`` and ``a`` are clipped to the range ends.
+    minimum value itself; ``a`` and ``b`` are clipped to the range ends.
     NaN values never win, so an all-NaN scan returns ``inf``.
     """
     best_i, best = 0, math.inf

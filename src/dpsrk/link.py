@@ -44,7 +44,7 @@ class LinkScenario:
     dead_time_delta: float | None = None
 
     def __post_init__(self):
-        # chained comparisons also reject NaN and +inf
+        # the chained comparisons also reject NaN and infinities
         if not 0.0 < self.mu < math.inf:
             raise ModelDomainError(f"mu must be finite and > 0, got {self.mu}")
         if not 0.0 <= self.alpha_db_per_km < math.inf:
