@@ -88,10 +88,14 @@ class UpConversionCurve:
     def __post_init__(self):
         if not 0.0 < self.a1 <= 1.0:
             raise ModelDomainError(f"a1 must be in (0, 1], got {self.a1}")
-        if self.a2 < 0.0:
-            raise ModelDomainError(f"a2 must be >= 0, got {self.a2}")
-        if self.bandwidth_hz <= 0.0:
-            raise ModelDomainError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
+        if not 0.0 <= self.a2 < math.inf:
+            raise ModelDomainError(f"a2 must be finite and >= 0, got {self.a2}")
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ModelDomainError(f"bandwidth_hz must be finite and > 0, got {self.bandwidth_hz}")
+        for name in ("b0", "b1", "b2", "b3", "b4"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:
+                raise ModelDomainError(f"{name} must be finite, got {value}")
         # The quartic must stay non-negative over the whole supported pump
         # domain; sample densely once at construction.
         for i in range(3001):

@@ -1,10 +1,12 @@
 """Seeded pulse-level stochastic checks of the analytic link formulas.
 
 This is a semiclassical per-window Bernoulli sampler, not a photonic state
-simulation: each measurement window independently draws a signal click, a
-dark click and an error outcome.  Its sole purpose is validating the
-probability composition of the analytic model (click probability, QBER and
-the intercept-resend error floor).
+simulation: every measurement window independently draws a signal uniform
+and a dark uniform, and only the windows that clicked go on to draw an
+error uniform and, under intercept-resend, the attack and Bob-delay
+variates.  Its sole purpose is validating the probability composition of
+the analytic model (click probability, QBER and the intercept-resend error
+floor).
 
 Randomness comes from numpy's Philox 4x64 counter-based generator.  Windows
 are processed in fixed chunks of 2**20 and chunk ``j`` uses the substream
@@ -25,6 +27,11 @@ from .errors import ModelDomainError
 from .link import LinkScenario
 
 CHUNK_WINDOWS = 1 << 20
+
+
+def _is_whole(x, lo: int, hi: float = math.inf) -> bool:
+    """``x`` is a whole number in [lo, hi); NaN and inf fail before ``int``."""
+    return lo <= x < hi and int(x) == x
 
 
 @dataclass(frozen=True)
@@ -51,18 +58,18 @@ class McConfig:
     bob_delay_choices: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if int(self.n_pulses) != self.n_pulses or self.n_pulses < 1:
+        if not _is_whole(self.n_pulses, 1):
             raise ModelDomainError(f"n_pulses must be an integer >= 1, got {self.n_pulses}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ModelDomainError(f"seed must fit in 64 bits, got {self.seed}")
+        if not _is_whole(self.seed, 0, 2**64):
+            raise ModelDomainError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         if not 0.0 <= self.ir_fraction <= 1.0:
             raise ModelDomainError(f"ir_fraction must be in [0, 1], got {self.ir_fraction}")
-        if int(self.eve_delay_m) != self.eve_delay_m or self.eve_delay_m < 1:
+        if not _is_whole(self.eve_delay_m, 1):
             raise ModelDomainError(f"eve_delay_m must be an integer >= 1, got {self.eve_delay_m}")
         if self.bob_delay_choices is not None:
             if not self.bob_delay_choices:
                 raise ModelDomainError("bob_delay_choices must not be empty")
-            if any(int(n) != n or n < 1 for n in self.bob_delay_choices):
+            if not all(_is_whole(n, 1) for n in self.bob_delay_choices):
                 raise ModelDomainError("bob_delay_choices must be integers >= 1")
 
     @property
@@ -113,65 +120,60 @@ def _chunks(n: int):
         yield full, rem
 
 
-def simulate_link(cfg: McConfig) -> McResult:
-    """Sample clicks and errors for the plain (unattacked) link.
+def _attacked_error(cfg: McConfig) -> list[float]:
+    """Error probability of an attacked signal click, per Bob delay choice."""
+    b = cfg.scenario.baseline_error
+    return [security.ir_error_floor(n) if n != cfg.eve_delay_m else b for n in cfg.delay_choices]
 
-    Per window: a signal click with probability p_signal and a dark click
-    with probability p_dark are drawn independently; a window with both
-    counts as one click carrying the signal's bit value.  Signal clicks
-    flip with the baseline error rate, dark-only clicks with 1/2.  The
-    overlap makes the click probability ``1 - (1 - p_signal)(1 - p_dark)``,
-    which :func:`link_expectation` uses, not the analytic model's sum
-    ``p_signal + p_dark``.
-    """
+
+def _sample(cfg: McConfig, intercept: bool) -> McResult:
+    """Count clicks and errors chunk by chunk for either sampling mode."""
     stats = link.channel_stats(cfg.scenario)
     b = cfg.scenario.baseline_error
+    attacked_error = np.array(_attacked_error(cfg))
     clicks = 0
     errors = 0
     for j, n in _chunks(cfg.n_pulses):
         rng = _chunk_rng(cfg.seed, j)
         sig = rng.random(n) < stats.p_signal
-        dark = rng.random(n) < stats.p_dark
-        err_sig = rng.random(n) < b
-        err_dark = rng.random(n) < 0.5
-        click = sig | dark
-        err = np.where(sig, err_sig, err_dark) & click
-        clicks += int(click.sum())
-        errors += int(err.sum())
+        click = sig | (rng.random(n) < stats.p_dark)
+        sig = sig[click]  # from here on, one entry per clicked window
+        k = sig.size
+        threshold = np.where(sig, b, 0.5)
+        u = rng.random(k)  # before the attack draws: ir_fraction = 0 is the plain link
+        if intercept:
+            attacked = rng.random(k) < cfg.ir_fraction
+            bob_idx = rng.integers(0, attacked_error.size, size=k)
+            threshold = np.where(sig & attacked, attacked_error[bob_idx], threshold)
+        clicks += k
+        errors += int(np.count_nonzero(u < threshold))
     return McResult.from_counts(cfg.n_pulses, clicks, errors)
+
+
+def simulate_link(cfg: McConfig) -> McResult:
+    """Sample clicks and errors for the plain (unattacked) link.
+
+    Every window draws a signal click with probability p_signal and a dark
+    click with probability p_dark independently; a window with both counts
+    as one click carrying the signal's bit value.  Only clicked windows draw
+    an error: signal clicks flip with the baseline error rate, dark-only
+    clicks with 1/2.  The overlap makes the click probability
+    ``1 - (1 - p_signal)(1 - p_dark)``, which :func:`link_expectation` uses,
+    not the analytic model's sum ``p_signal + p_dark``.
+    """
+    return _sample(cfg, intercept=False)
 
 
 def simulate_intercept_resend(cfg: McConfig) -> McResult:
     """Sample the link with a fraction of windows intercepted and resent.
 
-    Bob draws his delay per window uniformly from ``delay_choices``; Eve
-    measures with fixed delay M.  On attacked signal clicks with mismatched
-    delay the error probability becomes the floor ``(1 - 1/2N)/2``; matched
-    delays leave the baseline error rate.  With ``ir_fraction = 0`` this
-    reduces exactly to :func:`simulate_link`.
+    Every window draws its signal and dark click as in :func:`simulate_link`.
+    Only clicked windows draw the error, the attack and Bob's delay (uniform
+    over ``delay_choices``); Eve measures with fixed delay M.  Attacked
+    signal clicks with mismatched delay flip with the floor ``(1 - 1/2N)/2``.
+    With ``ir_fraction = 0`` this reduces exactly to :func:`simulate_link`.
     """
-    stats = link.channel_stats(cfg.scenario)
-    b = cfg.scenario.baseline_error
-    choices = np.asarray(cfg.delay_choices, dtype=np.int64)
-    floors = np.array([security.ir_error_floor(n) for n in cfg.delay_choices])
-    clicks = 0
-    errors = 0
-    for j, n in _chunks(cfg.n_pulses):
-        rng = _chunk_rng(cfg.seed, j)
-        sig = rng.random(n) < stats.p_signal
-        dark = rng.random(n) < stats.p_dark
-        u_err_sig = rng.random(n)
-        err_dark = rng.random(n) < 0.5
-        attacked = rng.random(n) < cfg.ir_fraction
-        bob_idx = rng.integers(0, len(choices), size=n)
-        mismatch = choices[bob_idx] != cfg.eve_delay_m
-        p_err_sig = np.where(attacked & mismatch, floors[bob_idx], b)
-        err_sig = u_err_sig < p_err_sig
-        click = sig | dark
-        err = np.where(sig, err_sig, err_dark) & click
-        clicks += int(click.sum())
-        errors += int(err.sum())
-    return McResult.from_counts(cfg.n_pulses, clicks, errors)
+    return _sample(cfg, intercept=True)
 
 
 def _window_expectation(stats: link.ChannelStats, e_signal: float) -> tuple[float, float]:
@@ -201,9 +203,6 @@ def intercept_resend_expectation(cfg: McConfig) -> tuple[float, float]:
     fraction.
     """
     b = cfg.scenario.baseline_error
-    choices = cfg.delay_choices
-    per_choice = [
-        security.ir_error_floor(n) if n != cfg.eve_delay_m else b for n in choices
-    ]
-    e_sig = (1.0 - cfg.ir_fraction) * b + cfg.ir_fraction * sum(per_choice) / len(choices)
+    per_choice = _attacked_error(cfg)
+    e_sig = (1.0 - cfg.ir_fraction) * b + cfg.ir_fraction * sum(per_choice) / len(per_choice)
     return _window_expectation(link.channel_stats(cfg.scenario), e_sig)

@@ -161,7 +161,7 @@ def tokenize_kv(text: str) -> list[tuple[str, str, int, int]]:
             raise ScenarioParseError("missing key before '='", lineno, 1)
         if not value:
             raise ScenarioParseError(f"missing value for key '{key}'", lineno, len(line) + 1)
-        col = raw.index("=") + 2
+        col = len(line) - len(value_part.lstrip()) + 1
         out.append((key, value, lineno, col))
     return out
 

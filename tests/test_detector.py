@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +72,14 @@ class TestUpDarkRate:
                 a1=0.465, a2=79.75, b0=10.0, b1=-100.0, b2=0.0, b3=0.0, b4=0.0,
                 bandwidth_hz=50e9,
             )
+
+
+class TestUpConversionCurveValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a1", "a2", "b0", "b1", "b2", "b3", "b4", "bandwidth_hz"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ModelDomainError):
+            replace(CURVE, **{field: value})
 
 
 class TestDarkPerWindow:

@@ -72,6 +72,30 @@ class TestSimulateLink:
             assert result.n_windows == n
             assert result.errors <= result.clicks <= n
 
+    @pytest.mark.parametrize("simulate", [simulate_link, simulate_intercept_resend])
+    def test_chunk_prefix(self, simulate):
+        # chunk 0 draws the same substream whatever n is, so extra windows only add
+        kw = dict(scenario=si_scenario(0.0), seed=5, ir_fraction=0.5, eve_delay_m=2,
+                  bob_delay_choices=(1, 2))
+        full = simulate(McConfig(n_pulses=CHUNK_WINDOWS, **kw))
+        more = simulate(McConfig(n_pulses=CHUNK_WINDOWS + 17, **kw))
+        assert more.clicks >= full.clicks
+        assert more.errors >= full.errors
+
+    @pytest.mark.parametrize("simulate", [simulate_link, simulate_intercept_resend])
+    def test_no_clicks(self, simulate):
+        # the signal underflows to exactly 0 and there are no dark counts
+        det = DetectorSpec(
+            name="quiet", efficiency=0.5, dark_per_window=0.0, dead_time=0.0,
+            receiver_loss_db=0.0, mode=DetectorMode.GATED,
+        )
+        s = si_scenario(length_km=1000.0, alpha_db_per_km=1000.0, detector=det)
+        cfg = McConfig(scenario=s, n_pulses=10_000, seed=3, ir_fraction=1.0, eve_delay_m=2,
+                       bob_delay_choices=(1,))
+        result = simulate(cfg)
+        assert (result.clicks, result.errors, result.p_click_hat) == (0, 0, 0.0)
+        assert math.isnan(result.qber_hat)
+
     def test_standard_error_halves_when_n_quadruples(self):
         base = McConfig(scenario=si_scenario(50.0), n_pulses=100_000, seed=21)
         quad = McConfig(scenario=si_scenario(50.0), n_pulses=400_000, seed=22)
@@ -106,6 +130,14 @@ class TestSimulateInterceptResend:
             )
             plain = McConfig(scenario=si_scenario(50.0), n_pulses=300_000, seed=seed)
             assert simulate_intercept_resend(cfg) == simulate_link(plain)
+
+    @pytest.mark.parametrize("delays", [None, (1,), (1, 2), (1, 10, 100)])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    def test_same_clicks_as_link(self, fraction, delays):
+        # every window draws its signal and dark uniforms first in both modes
+        base = dict(scenario=si_scenario(0.0), n_pulses=200_000, seed=41)
+        cfg = McConfig(**base, ir_fraction=fraction, eve_delay_m=2, bob_delay_choices=delays)
+        assert simulate_intercept_resend(cfg).clicks == simulate_link(McConfig(**base)).clicks
 
     def test_mixed_delay_set_expectation(self):
         cfg = McConfig(
@@ -177,6 +209,17 @@ class TestMcConfigValidation:
             {"eve_delay_m": 0},
             {"bob_delay_choices": ()},
             {"bob_delay_choices": (0,)},
+            {"n_pulses": math.inf},
+            {"n_pulses": math.nan},
+            {"n_pulses": 10.5},
+            {"seed": math.nan},
+            {"seed": 1.5},
+            {"seed": math.inf},
+            {"ir_fraction": math.nan},
+            {"eve_delay_m": math.inf},
+            {"eve_delay_m": math.nan},
+            {"bob_delay_choices": (math.nan,)},
+            {"bob_delay_choices": (1, math.inf)},
         ],
     )
     def test_rejects(self, kwargs):

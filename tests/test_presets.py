@@ -148,4 +148,5 @@ class TestPresetParsing:
         line = text.splitlines().index(old) + 1
         with pytest.raises(ScenarioParseError) as info:
             parse_preset("fig3", text.replace(old, new))
-        assert (info.value.line, info.value.column) == (line, new.index("=") + 2)
+        # the column of the value's first character, just after "= "
+        assert (info.value.line, info.value.column) == (line, new.index("= ") + 3)

@@ -80,6 +80,14 @@ class TestParse:
         assert "'mu'" in str(exc.value)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "line,column", [("mu=abc", 4), ("mu = abc", 6), ("  mu =   abc", 10), ("mu =\tabc", 6)]
+    )
+    def test_value_error_column_is_value_start(self, line, column):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(BASIC.replace("mu = 0.2", line))
+        assert (exc.value.line, exc.value.column) == (2, column)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ScenarioParseError):
             parse_scenario(BASIC.replace("mu = 0.2", "mu = inf"))
