@@ -25,13 +25,13 @@ from .detector import (
     nep,
     optimize_pump,
 )
-from .errors import DpsrkError, NoSecureDistanceError, ScenarioParseError
+from .errors import DpsrkError, NoSecureDistanceError
 from .link import LinkScenario
 from .montecarlo import McConfig
 from .plotscript import render_plot_script
 from .presets import load_presets
 from .rate import RatePoint
-from .scenario import ATTACK_NAMES, parse_scenario
+from .scenario import ATTACK_NAMES, parse_scenario, read_text
 from .security import AttackModel
 
 CSV_HEADER = (
@@ -61,7 +61,6 @@ class _Source:
     build: Callable[[float], tuple[LinkScenario, AttackModel]]
     caption_f: float | None
     curve: UpConversionCurve | None
-    label: str
 
 
 def _finite_float(text: str) -> float:
@@ -89,19 +88,14 @@ def _load_source(args) -> _Source:
     if bool(args.scenario) == bool(args.preset):
         raise UsageError("exactly one of --scenario or --preset is required")
     if args.scenario:
-        sf = parse_scenario(Path(args.scenario).read_text())
+        sf = parse_scenario(read_text(args.scenario))
         if args.attack is not None:
             sf = replace(sf, attack=args.attack)
         if args.n is not None:
             sf = replace(sf, delay_n=args.n)
         if args.delta is not None:
             sf = replace(sf, delta=args.delta)
-        return _Source(
-            build=sf.build,
-            caption_f=None,
-            curve=sf.upconversion_curve(),
-            label=sf.detector_name,
-        )
+        return _Source(build=sf.build, caption_f=None, curve=sf.upconversion_curve())
     registry = load_presets()
     if args.preset not in registry:
         raise UsageError(
@@ -121,7 +115,7 @@ def _load_source(args) -> _Source:
             delta=args.delta,
         )
 
-    return _Source(build=build, caption_f=preset.f, curve=None, label=detector)
+    return _Source(build=build, caption_f=preset.f, curve=None)
 
 
 def _f_fixed(args, source: _Source) -> float | None:
@@ -140,26 +134,9 @@ def _flags_str(point: RatePoint) -> str:
     return "|".join(sorted(point.flags))
 
 
-def _point_row(point: RatePoint) -> str:
-    return ",".join(
-        [
-            _fmt(point.length_km),
-            _fmt(point.p_signal),
-            _fmt(point.p_dark),
-            _fmt(point.p_click),
-            _fmt(point.qber),
-            _fmt(point.tau),
-            _fmt(point.f_used),
-            _fmt(point.sifted_rate_hz),
-            _fmt(point.secure_rate_hz),
-            _fmt(point.secure_rate_deadtime_hz),
-            _flags_str(point),
-        ]
-    )
-
-
-def _print_point(point: RatePoint) -> None:
-    rows = [
+def _point_values(point: RatePoint) -> list[tuple[str, str]]:
+    """The point's named values, in ``CSV_HEADER`` order."""
+    return [
         ("length_km", _fmt(point.length_km)),
         ("p_signal", _fmt(point.p_signal)),
         ("p_dark", _fmt(point.p_dark)),
@@ -170,12 +147,24 @@ def _print_point(point: RatePoint) -> None:
         ("sifted_bps", _fmt(point.sifted_rate_hz)),
         ("secure_bps", _fmt(point.secure_rate_hz)),
         ("secure_deadtime_bps", _fmt(point.secure_rate_deadtime_hz)),
-        ("flags", _flags_str(point) or "-"),
-        ("secure", "yes" if point.secure else "no"),
+        ("flags", _flags_str(point)),
     ]
+
+
+def _point_row(point: RatePoint) -> str:
+    return ",".join(value for _, value in _point_values(point))
+
+
+def _print_rows(rows: list[tuple[str, str]]) -> None:
     width = max(len(name) for name, _ in rows) + 2
     for name, value in rows:
         print(f"{name:<{width}}{value}")
+
+
+def _print_point(point: RatePoint) -> None:
+    rows = [(name, value or "-") for name, value in _point_values(point)]
+    rows.append(("secure", "yes" if point.secure else "no"))
+    _print_rows(rows)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -266,7 +255,7 @@ def _cmd_optimize_mu(args) -> int:
 def _cmd_optimize_pump(args) -> int:
     curve = PPLN_UPCONVERTER
     if args.scenario:
-        sf = parse_scenario(Path(args.scenario).read_text())
+        sf = parse_scenario(read_text(args.scenario))
         file_curve = sf.upconversion_curve()
         if file_curve is None:
             raise UsageError("scenario file has no upconv block")
@@ -286,9 +275,7 @@ def _cmd_optimize_pump(args) -> int:
             ),
         ),
     ]
-    width = max(len(name) for name, _ in rows) + 2
-    for name, value in rows:
-        print(f"{name:<{width}}{value}")
+    _print_rows(rows)
     return 0
 
 
@@ -301,6 +288,12 @@ def _z_score(estimate: float, analytic: float, se: float) -> float:
 
 
 def _cmd_mc(args) -> int:
+    if args.mode == "link":
+        for option, value in (
+            ("--ir-fraction", args.ir_fraction), ("--eve-m", args.eve_m), ("--bob-n", args.bob_n)
+        ):
+            if value is not None:
+                raise UsageError(f"{option} only applies with --mode ir")
     source = _load_source(args)
     scenario, _attack = source.build(args.length)
     ir_fraction = args.ir_fraction
@@ -311,7 +304,7 @@ def _cmd_mc(args) -> int:
         n_pulses=args.pulses,
         seed=args.seed,
         ir_fraction=ir_fraction,
-        eve_delay_m=args.eve_m,
+        eve_delay_m=1 if args.eve_m is None else args.eve_m,
         bob_delay_choices=args.bob_n,
     )
     if args.mode == "ir":
@@ -371,7 +364,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_plot(args) -> int:
     try:
-        csv_text = Path(args.csv_path).read_text()
+        csv_text = read_text(args.csv_path)
     except OSError as exc:
         raise UsageError(f"cannot read CSV: {exc}") from None
     script = render_plot_script(args.csv_path, csv_text)
@@ -471,10 +464,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
     sp.add_argument("--mode", choices=("link", "ir"), default="link")
     sp.add_argument("--ir-fraction", type=_finite_float, default=None,
-                    help="attacked window fraction (default 1.0 in ir mode)")
-    sp.add_argument("--eve-m", type=int, default=1, help="Eve's delay M")
+                    help="attacked window fraction (ir mode only, default 1.0)")
+    sp.add_argument("--eve-m", type=int, default=None,
+                    help="Eve's delay M (ir mode only, default 1)")
     sp.add_argument("--bob-n", metavar="N1,N2,...", type=_int_list, default=None,
-                    help="Bob's random delay choices (default: scenario delay)")
+                    help="Bob's random delay choices (ir mode only; default: scenario delay)")
     sp.add_argument("--csv", metavar="PATH", help="also write the result as CSV")
     sp.set_defaults(func=_cmd_mc)
 
@@ -491,27 +485,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NoSecureDistanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DpsrkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, FileNotFoundError) as exc:
+    except (DpsrkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

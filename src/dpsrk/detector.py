@@ -220,7 +220,7 @@ def optimize_pump(
         eta = up_efficiency(curve, p)
         if eta <= 0.0:
             return math.inf
-        return math.sqrt(2.0 * up_dark_rate(curve, p)) / eta
+        return nep(up_dark_rate(curve, p), eta)
 
     if hi - lo < 1e-12:
         if up_efficiency(curve, lo) <= 0.0:

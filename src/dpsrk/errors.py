@@ -34,7 +34,7 @@ class NoFeasiblePointError(DpsrkError, ValueError):
 
 
 class NoSecureDistanceError(DpsrkError, ValueError):
-    """The link is insecure already at zero distance."""
+    """No link length has a secure rate above the requested floor."""
 
 
 class ScenarioParseError(DpsrkError, ValueError):

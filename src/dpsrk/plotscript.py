@@ -33,9 +33,16 @@ def _split_series(header: list[str], rows: list[list[str]]) -> list[tuple[str, i
                 start = i
         return spans
     # No label column: a decrease in the axis column starts a new series.
+    try:
+        axis = [float(row[0]) for row in rows]
+    except ValueError:
+        raise ScenarioParseError(
+            f"axis column '{header[0]}' holds a non-numeric value and there is no "
+            "detector or name column to split series by"
+        ) from None
     start = 0
     for i in range(1, len(rows) + 1):
-        if i == len(rows) or float(rows[i][0]) < float(rows[i - 1][0]):
+        if i == len(rows) or axis[i] < axis[i - 1]:
             spans.append((f"series {len(spans) + 1}", start, i))
             start = i
     return spans
@@ -45,7 +52,8 @@ def render_plot_script(csv_path: str, csv_text: str) -> str:
     """Build the plotting script for one sweep CSV.
 
     Raises:
-        ScenarioParseError: The CSV has no header or rows of uneven width.
+        ScenarioParseError: The CSV has no header, rows of uneven width, no
+            rate column, or a non-numeric axis column and no series label.
     """
     reader = csv.reader(io.StringIO(csv_text))
     table = list(reader)

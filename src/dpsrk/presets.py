@@ -18,7 +18,7 @@ from typing import Mapping
 from .detector import DetectorMode, DetectorSpec
 from .errors import ScenarioParseError
 from .link import LinkScenario
-from .scenario import ATTACK_NAMES, _parse_float, _parse_int, tokenize_kv
+from .scenario import ATTACK_NAMES, _parse_float, _parse_int, read_text, tokenize_kv
 from .security import AttackModel
 
 PRESET_DIR_ENV = "DPSRK_PRESET_DIR"
@@ -132,7 +132,7 @@ def load_presets(directory: str | os.PathLike | None = None) -> dict[str, Preset
     root = Path(directory) if directory is not None else preset_directory()
     registry: dict[str, Preset] = {}
     for path in sorted(root.glob("*.preset"), key=lambda p: _natural_key(p.stem)):
-        registry[path.stem] = parse_preset(path.stem, path.read_text())
+        registry[path.stem] = parse_preset(path.stem, read_text(path))
     if not registry:
         raise FileNotFoundError(f"no .preset files found in {root}")
     return registry

@@ -19,12 +19,15 @@ from .errors import (
     NoSecureDistanceError,
 )
 from .link import LinkScenario
-from .security import CASCADE_EC_TABLE, AttackKind, AttackModel, ECTable
+from .security import CASCADE_EC_TABLE, AttackKind, AttackModel
 
 FLAG_CLAMPED = "clamped"
 FLAG_INSECURE = "insecure"
 FLAG_ABOVE_EC_RANGE = "above_ec_range"
 FLAG_DEADTIME_LIMITED = "deadtime_limited"
+
+# Longest link max_secure_distance searches before giving up.
+_L_MAX_KM = 20000.0
 
 
 @dataclass(frozen=True)
@@ -74,23 +77,13 @@ def dead_time_factor(s: LinkScenario) -> float:
     return math.exp(-_dead_time_exponent(s, link.channel_stats(s).p_click))
 
 
-def _attack_delay(s: LinkScenario, a: AttackModel) -> int:
-    return int(a.delay_n) if a.delay_n is not None else int(s.delay_n)
-
-
-def secure_rate(
-    s: LinkScenario,
-    a: AttackModel,
-    *,
-    ec_table: ECTable = CASCADE_EC_TABLE,
-    f_fixed: float | None = None,
-) -> RatePoint:
+def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None) -> RatePoint:
     """Evaluate the full rate chain for one scenario under one attack.
 
     QBER comes from the link model; tau from the attack's shrinking factor
     (collision bound with the Poisson single-photon fraction for individual
-    attacks, surviving fraction for the hybrid attack).  ``f_fixed``
-    bypasses the error-correction table with a constant overhead.
+    attacks, surviving fraction for the hybrid attack).  The overhead f comes
+    from the cascade table unless ``f_fixed`` gives a constant.
 
     The returned point is never an exception: insecure or out-of-range
     operating points carry zero rate plus explanatory flags.  Without clicks
@@ -102,17 +95,15 @@ def secure_rate(
     tau, f_used, r, saturation = 0.0, math.nan, 0.0, 0.0
     if stats.p_click > 0.0:
         if a.kind is AttackKind.HYBRID_BS_IR:
-            n = _attack_delay(s, a)
-            eta_bs = security.bs_transmission(s.detector, s.alpha_db_per_km, s.length_km)
-            gamma = security.surviving_fraction(s.mu, eta_bs, stats.p_signal, n, a.memory)
-            tau = security.shrink_hybrid(e, gamma, n)
+            gamma = security.surviving_fraction(s.mu, stats.p_signal, s.delay_n, a.memory)
+            tau = security.shrink_hybrid(e, gamma, s.delay_n)
         else:
             p_m = security.poisson_multiphoton(s.mu)
             beta = security.single_photon_fraction(stats.p_click, p_m)
             if beta > 0.0:
                 tau = security.shrink_individual(e, beta, a.memory)
         try:
-            f_used = security.f_ec(ec_table, e) if f_fixed is None else f_fixed
+            f_used = security.f_ec(CASCADE_EC_TABLE, e) if f_fixed is None else f_fixed
         except AboveCorrectionRangeError:
             flags.add(FLAG_ABOVE_EC_RANGE)
         else:
@@ -152,7 +143,7 @@ def asymptotic_rate(s: LinkScenario, a: AttackModel) -> float:
     if a.memory:
         factor = 1.0 - 2.0 * s.mu
     else:
-        factor = 1.0 - s.mu / _attack_delay(s, a)
+        factor = 1.0 - s.mu / s.delay_n
     return s.clock_hz * factor * stats.p_signal
 
 
@@ -161,7 +152,6 @@ def optimize_mu(
     a: AttackModel,
     mu_range: tuple[float, float],
     *,
-    ec_table: ECTable = CASCADE_EC_TABLE,
     f_fixed: float | None = None,
 ) -> tuple[float, RatePoint]:
     """Maximize the dead-time-corrected secure rate over the mean photon number.
@@ -176,7 +166,7 @@ def optimize_mu(
         raise ModelDomainError(f"mu range must satisfy 0 < lo < hi <= 1, got [{lo}, {hi}]")
 
     def point(mu: float) -> RatePoint:
-        return secure_rate(replace(s, mu=mu), a, ec_table=ec_table, f_fixed=f_fixed)
+        return secure_rate(replace(s, mu=mu), a, f_fixed=f_fixed)
 
     def loss(mu: float) -> float:
         return -point(mu).secure_rate_deadtime_hz
@@ -193,35 +183,45 @@ def max_secure_distance(
     a: AttackModel,
     r_min: float = 0.0,
     *,
-    l_max_km: float = 20000.0,
-    ec_table: ECTable = CASCADE_EC_TABLE,
     f_fixed: float | None = None,
 ) -> float:
     """Largest length with dead-time-corrected secure rate above ``r_min``.
 
-    Doubles the length until the rate falls to or below ``r_min``, then
-    bisects the crossing to 0.01 km.
+    Walks the lengths 0, 1, 2, 4, ... km.  Dead time can hold the corrected
+    rate at or below ``r_min`` on short links, where the click rate is
+    highest, so the walk first steps out to the first length whose corrected
+    rate is above ``r_min``.  It keeps doubling until the rate falls to or
+    below ``r_min`` again, then bisects that crossing to 0.01 km.
 
     Raises:
-        NoSecureDistanceError: Already insecure at zero distance.
-        ModelDomainError: No crossing below ``l_max_km``.
+        NoSecureDistanceError: The uncorrected rate, which never rises with
+            length, is at or below ``r_min`` before the corrected rate rises
+            above it, or the walk reaches the 20000 km search cap first.
+        ModelDomainError: No crossing below the search cap.
     """
     if r_min < 0.0:
         raise ModelDomainError(f"r_min must be >= 0, got {r_min}")
 
-    def above(length: float) -> bool:
-        p = secure_rate(replace(s, length_km=length), a, ec_table=ec_table, f_fixed=f_fixed)
-        return p.secure_rate_deadtime_hz > r_min
+    def point(length: float) -> RatePoint:
+        return secure_rate(replace(s, length_km=length), a, f_fixed=f_fixed)
 
-    if not above(0.0):
-        raise NoSecureDistanceError(f"no secure distance: rate <= {r_min} b/s at L = 0")
-    lo, hi = 0.0, 1.0
+    def above(length: float) -> bool:
+        return point(length).secure_rate_deadtime_hz > r_min
+
+    lo = 0.0
+    p = point(lo)
+    while p.secure_rate_deadtime_hz <= r_min:
+        if p.secure_rate_hz <= r_min or 2.0 * lo > _L_MAX_KM:
+            raise NoSecureDistanceError(f"no secure distance: rate <= {r_min} b/s at L = {lo:g}")
+        lo = max(1.0, 2.0 * lo)
+        p = point(lo)
+    hi = max(1.0, 2.0 * lo)
     while above(hi):
         lo = hi
         hi *= 2.0
-        if hi > l_max_km:
+        if hi > _L_MAX_KM:
             raise ModelDomainError(
-                f"rate stays above {r_min} b/s out to the {l_max_km} km search cap"
+                f"rate stays above {r_min} b/s out to the {_L_MAX_KM} km search cap"
             )
     while hi - lo > 0.01:
         mid = 0.5 * (lo + hi)

@@ -9,7 +9,9 @@ duplicate keys are rejected with line/column diagnostics.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .detector import (
     DetectorMode,
@@ -143,6 +145,16 @@ class ScenarioFile:
             dead_time_delta=self.delta,
         )
         return scenario, AttackModel(kind=kind, eve_memory=memory)
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """Read a UTF-8 input file; undecodable bytes raise ScenarioParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(
+            f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
+        ) from None
 
 
 def tokenize_kv(text: str) -> list[tuple[str, str, int, int]]:

@@ -36,19 +36,12 @@ class AttackModel:
 
     For the individual kinds the memory capability is part of the kind;
     ``eve_memory`` selects between the two surviving-fraction formulas
-    inside the hybrid attack.  ``delay_n`` overrides the scenario's delay
-    when set.
+    inside the hybrid attack.  The interferometer delay N is the
+    scenario's.
     """
 
     kind: AttackKind
     eve_memory: bool = False
-    delay_n: int | None = None
-
-    def __post_init__(self):
-        if self.delay_n is not None and (
-            int(self.delay_n) != self.delay_n or self.delay_n < 1
-        ):
-            raise ModelDomainError(f"delay_n must be an integer >= 1, got {self.delay_n}")
 
     @property
     def memory(self) -> bool:
@@ -167,22 +160,21 @@ def bs_transmission(detector: DetectorSpec, alpha_db_per_km: float, length_km: f
     )
 
 
-def surviving_fraction(
-    mu: float, eta_bs: float, p_signal: float, delay_n: int, eve_memory: bool
-) -> float:
+def surviving_fraction(mu: float, p_signal: float, delay_n: int, eve_memory: bool) -> float:
     """Fraction of sifted bits unknown to a beam-splitting Eve.
 
     Without memory Eve's random delay choice matches Bob's with chance 1/N,
     giving ``1 - mu/N + p_signal/N``; with memory she waits for the
-    announcement and the fraction drops to ``1 - 2 mu + 2 p_signal``.  The
-    two published forms (via eta_bs or via p_signal) coincide because
-    ``p_signal = mu * eta_bs``.  Clamped below at 0; a zero value means the
-    attack leaves no secret bits.
+    announcement and the fraction drops to ``1 - 2 mu + 2 p_signal``.  These
+    are the published forms ``1 - mu (1 - eta_bs)/N`` and
+    ``1 - 2 mu (1 - eta_bs)`` written with ``p_signal = mu * eta_bs``, where
+    eta_bs is Eve's beam-splitter transmission (``bs_transmission``).
+    Clamped below at 0; a zero value means the attack leaves no secret bits.
     """
     if mu <= 0.0:
         raise ModelDomainError(f"mu must be > 0, got {mu}")
-    if not 0.0 <= eta_bs <= 1.0:
-        raise ModelDomainError(f"eta_bs must be in [0, 1], got {eta_bs}")
+    if not 0.0 <= p_signal <= 1.0:
+        raise ModelDomainError(f"p_signal must be in [0, 1], got {p_signal}")
     if delay_n < 1:
         raise ModelDomainError(f"delay_n must be >= 1, got {delay_n}")
     if eve_memory:

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpsrk.cli import CSV_HEADER, main
+from dpsrk.scenario import KNOWN_KEYS
 
 from test_scenario import BASIC, UPCONV
 
@@ -300,6 +304,15 @@ class TestMcCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "option, value", [("--ir-fraction", "0.7"), ("--eve-m", "2"), ("--bob-n", "1,10")]
+    )
+    def test_link_mode_rejects_ir_options(self, capsys, option, value):
+        rc, out, err = run(capsys, "mc", "--preset", "fig3", "--pulses", "10", option, value)
+        assert rc == 1
+        assert out == ""
+        assert option in err
+
     @pytest.mark.parametrize("bob_n", ["a,b", "1,,2", "1.5"])
     def test_bad_bob_n_exits_one(self, capsys, bob_n):
         rc, _, err = run(capsys, "mc", "--preset", "fig3", "--pulses", "10", "--bob-n", bob_n)
@@ -375,6 +388,13 @@ class TestPlotCommand:
         rc, _, _ = run(capsys, "plot", str(path))
         assert rc == 1
 
+    def test_non_numeric_axis_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("L_km,secure_bps\nabc,1\ndef,2\n")
+        rc, _, err = run(capsys, "plot", str(path))
+        assert rc == 1
+        assert err.startswith("error:") and "L_km" in err
+
     def test_custom_out_path(self, capsys, tmp_path):
         csv_path = self._sweep_csv(tmp_path, capsys)
         out_path = tmp_path / "custom_plot.py"
@@ -395,6 +415,67 @@ class TestPresetsCommand:
         assert rc == 0
         for name in ("fig3", "fig12", "alt"):
             assert name in out
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [["rate", "--scenario", "x.preset"], ["plot", "x.preset"], ["presets", "list"]],
+    )
+    def test_non_utf8_exits_one(self, capsys, tmp_path, monkeypatch, argv):
+        (tmp_path / "x.preset").write_bytes(b"mu = 0.2\xff\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DPSRK_PRESET_DIR", str(tmp_path))
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1
+        assert err.startswith("error:") and "UTF-8" in err
+
+
+def _file_bytes(line: st.SearchStrategy[str]) -> st.SearchStrategy[bytes]:
+    """Raw bytes, or UTF-8 text whose lines ``line`` draws."""
+    return st.one_of(st.binary(), st.lists(line, max_size=8).map(lambda ls: "\n".join(ls).encode()))
+
+
+_number = st.one_of(st.floats().map(repr), st.integers().map(str))
+_scenario_line = st.one_of(
+    st.text(),
+    st.builds("{} = {}".format, st.sampled_from(sorted(KNOWN_KEYS)), st.one_of(st.text(), _number)),
+)
+_csv_line = st.one_of(
+    st.text(),
+    st.just(CSV_HEADER),
+    st.lists(st.one_of(st.text(), _number), max_size=11).map(",".join),
+)
+
+
+_fuzz_settings = settings(
+    max_examples=60, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestFuzz:
+    """Arbitrary input files end in an exit code, never in a traceback.
+
+    Each example writes to new file names: truncating a file that holds data
+    can cost tens of milliseconds on ext4, creating one does not.
+    """
+
+    names = itertools.count()
+
+    @_fuzz_settings
+    @given(data=_file_bytes(_scenario_line))
+    def test_scenario_file(self, tmp_path, data):
+        path = tmp_path / f"{next(self.names)}.scn"
+        path.write_bytes(data)
+        assert main(["rate", "--scenario", str(path), "--length", "10"]) in (0, 1, 2, 3)
+
+    @_fuzz_settings
+    @given(data=_file_bytes(_csv_line))
+    def test_plot_csv(self, tmp_path, data):
+        path = tmp_path / f"{next(self.names)}.csv"
+        path.write_bytes(data)
+        assert main(["plot", str(path), "--out", f"{path}.py"]) in (0, 1, 2, 3)
 
 
 class TestUsage:

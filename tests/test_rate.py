@@ -6,6 +6,7 @@ import pytest
 from dpsrk.detector import DetectorMode, DetectorSpec
 from dpsrk.errors import ModelDomainError, NoSecureDistanceError
 from dpsrk.link import channel_stats
+from dpsrk.presets import load_presets
 from dpsrk.rate import (
     FLAG_ABOVE_EC_RANGE,
     FLAG_DEADTIME_LIMITED,
@@ -117,11 +118,6 @@ class TestSecureRate:
             assert point.secure_rate_deadtime_hz <= point.secure_rate_hz <= point.sifted_rate_hz
             for p in (point.p_signal, point.p_dark, point.p_click):
                 assert 0.0 <= p <= 1.0
-
-    def test_attack_delay_override(self):
-        s = si_scenario(100.0, delay_n=10)
-        override = replace(HYBRID_NOMEM, delay_n=100)
-        assert secure_rate(s, override).tau == secure_rate(si_scenario(100.0, delay_n=100), HYBRID_NOMEM).tau
 
 
 class TestDeadTimeFactor:
@@ -266,10 +262,30 @@ class TestMaxSecureDistance:
         ing = max_secure_distance(si_scenario(detector=INGAAS), HYBRID_NOMEM, f_fixed=1.16)
         assert 130.0 <= ing <= 150.0
 
+    @pytest.mark.parametrize(
+        "name, detector, expected",
+        [("fig4", "si", 277.859375), ("fig7", "ingaas", 120.40625), ("fig11", "si", 277.859375)],
+    )
+    def test_dead_time_limited_near_zero(self, name, detector, expected):
+        # dead time holds the corrected rate below r_min near 0 km; further
+        # out the click rate drops and the corrected rate rises above it
+        s, a = load_presets()[name].scenario(detector, delay_n=100)
+        assert secure_rate(s, a).secure_rate_deadtime_hz <= 1e3
+        assert max_secure_distance(s, a, r_min=1e3) == expected
+
+    def test_walk_stops_once_uncorrected_rate_is_below_floor(self):
+        # fig4 si peaks near 1.5e7 b/s after dead time, while its uncorrected
+        # rate starts near 1.5e9 b/s and falls to 2e7 b/s by 128 km
+        s, a = load_presets()["fig4"].scenario("si", delay_n=100)
+        with pytest.raises(NoSecureDistanceError, match="at L = 128"):
+            max_secure_distance(s, a, r_min=2e7)
+
     def test_no_crossing_below_cap(self):
-        s = si_scenario(0.0, baseline_error=0.0, detector=quiet_detector())
+        # a lossless link keeps its rate at every length, so the 20000 km
+        # search cap is reached
+        s = si_scenario(0.0, alpha_db_per_km=0.0, baseline_error=0.0, detector=quiet_detector())
         with pytest.raises(ModelDomainError):
-            max_secure_distance(s, HYBRID_NOMEM, r_min=0.0, l_max_km=500.0)
+            max_secure_distance(s, HYBRID_NOMEM, r_min=0.0)
 
 
 class TestMonotonicity:
@@ -306,8 +322,6 @@ class TestMonotonicity:
         assert no_dead.secure_rate_deadtime_hz == no_dead.secure_rate_hz
 
     def test_si_outperforms_ingaas_on_every_preset(self):
-        from dpsrk.presets import load_presets
-
         for preset in load_presets().values():
             for n in preset.n_set:
                 for length in (0.0, 50.0, 100.0, 150.0):

@@ -126,13 +126,21 @@ class TestBsTransmission:
 
 class TestSurvivingFraction:
     def test_no_memory_example(self):
-        assert surviving_fraction(0.2, 0.0, 0.0, 10, eve_memory=False) == 0.98
+        assert surviving_fraction(0.2, 0.0, 10, eve_memory=False) == 0.98
 
     def test_memory_example(self):
-        assert surviving_fraction(0.2, 0.0, 0.0, 1, eve_memory=True) == pytest.approx(0.6, rel=1e-15)
+        assert surviving_fraction(0.2, 0.0, 1, eve_memory=True) == pytest.approx(0.6, rel=1e-15)
 
     def test_memory_boundary(self):
-        assert surviving_fraction(0.5, 0.0, 0.0, 1, eve_memory=True) == 0.0
+        assert surviving_fraction(0.5, 0.0, 1, eve_memory=True) == 0.0
+
+    @pytest.mark.parametrize(
+        "mu, p_signal, n",
+        [(0.0, 0.0, 10), (0.2, -0.1, 10), (0.2, 1.5, 10), (0.2, float("nan"), 10), (0.2, 0.1, 0)],
+    )
+    def test_rejects(self, mu, p_signal, n):
+        with pytest.raises(ModelDomainError):
+            surviving_fraction(mu, p_signal, n, eve_memory=False)
 
     @given(
         st.floats(min_value=1e-3, max_value=1.0),
@@ -142,7 +150,7 @@ class TestSurvivingFraction:
     )
     def test_two_published_forms_agree(self, mu, eta_bs, n, memory):
         ps = mu * eta_bs
-        gamma = surviving_fraction(mu, eta_bs, ps, n, memory)
+        gamma = surviving_fraction(mu, ps, n, memory)
         if memory:
             direct = 1.0 - 2.0 * mu * (1.0 - eta_bs)
         else:
@@ -156,8 +164,8 @@ class TestSurvivingFraction:
     )
     def test_memory_never_helps(self, mu, eta_bs, n):
         ps = mu * eta_bs
-        with_memory = surviving_fraction(mu, eta_bs, ps, n, eve_memory=True)
-        without = surviving_fraction(mu, eta_bs, ps, n, eve_memory=False)
+        with_memory = surviving_fraction(mu, ps, n, eve_memory=True)
+        without = surviving_fraction(mu, ps, n, eve_memory=False)
         assert with_memory <= without + 1e-12
 
 
@@ -248,7 +256,3 @@ class TestAttackModel:
         assert not AttackModel(AttackKind.INDIVIDUAL_NO_MEMORY).memory
         assert AttackModel(AttackKind.HYBRID_BS_IR, eve_memory=True).memory
         assert not AttackModel(AttackKind.HYBRID_BS_IR, eve_memory=False).memory
-
-    def test_delay_validation(self):
-        with pytest.raises(ModelDomainError):
-            AttackModel(AttackKind.HYBRID_BS_IR, delay_n=0)
