@@ -23,14 +23,12 @@ from .detector import (
     up_efficiency,
 )
 from .link import ChannelStats, LinkScenario, channel_stats
-from .montecarlo import McConfig, McResult, simulate_intercept_resend, simulate_link
 from .presets import Preset, load_presets
 from .rate import (
     RatePoint,
     asymptotic_rate,
     bb84_reference,
     binary_entropy,
-    dead_time_factor,
     max_secure_distance,
     optimize_mu,
     secure_rate,
@@ -78,7 +76,6 @@ __all__ = [
     "bs_transmission",
     "channel_stats",
     "dark_per_window",
-    "dead_time_factor",
     "f_ec",
     "ir_error_floor",
     "load_presets",
@@ -101,3 +98,15 @@ __all__ = [
     "up_dark_rate",
     "up_efficiency",
 ]
+
+# The sampler loads numpy, which nothing else imported here needs, so its
+# names are served on first use (PEP 562).
+_MONTECARLO_NAMES = ("McConfig", "McResult", "simulate_intercept_resend", "simulate_link")
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

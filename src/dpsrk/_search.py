@@ -9,22 +9,28 @@ around the best grid point.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def grid_bracket(
-    f: Callable[[float], float], lo: float, hi: float, n: int
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    n: int,
+    indices: Iterable[int] | None = None,
 ) -> tuple[float, float, float]:
     """Scan ``f`` on ``n + 1`` evenly spaced points of ``[lo, hi]``.
 
     Returns the grid neighbours ``(a, b)`` of the first minimum and the
     minimum value itself; ``a`` and ``b`` are clipped to the range ends.
-    NaN values never win, so an all-NaN scan returns ``inf``.
+    NaN values never win, so an all-NaN scan returns ``inf``.  ``indices``,
+    increasing, restricts the scan to those grid points, for a caller that
+    knows the first minimum is among them; none at all also returns ``inf``.
     """
     best_i, best = 0, math.inf
-    for i in range(n + 1):
+    for i in range(n + 1) if indices is None else indices:
         v = f(lo + (hi - lo) * i / n)
         if v < best:
             best_i, best = i, v

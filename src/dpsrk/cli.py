@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from . import montecarlo, rate
+from . import rate
 from .detector import (
     PPLN_UPCONVERTER,
     DarkConvention,
@@ -27,7 +27,6 @@ from .detector import (
 )
 from .errors import DpsrkError, NoSecureDistanceError
 from .link import LinkScenario
-from .montecarlo import McConfig
 from .plotscript import render_plot_script
 from .presets import load_presets
 from .rate import RatePoint
@@ -294,12 +293,14 @@ def _cmd_mc(args) -> int:
         ):
             if value is not None:
                 raise UsageError(f"{option} only applies with --mode ir")
+    from . import montecarlo  # the sampler loads numpy, so only this command imports it
+
     source = _load_source(args)
     scenario, _attack = source.build(args.length)
     ir_fraction = args.ir_fraction
     if ir_fraction is None:
         ir_fraction = 1.0 if args.mode == "ir" else 0.0
-    cfg = McConfig(
+    cfg = montecarlo.McConfig(
         scenario=scenario,
         n_pulses=args.pulses,
         seed=args.seed,

@@ -91,8 +91,12 @@ class ChannelStats:
     clamped: bool
 
 
-def channel_stats(s: LinkScenario) -> ChannelStats:
-    raw_signal = s.mu * s.detector.efficiency * 10.0 ** (
+def _click_terms(s: LinkScenario, mu):
+    """Unclamped signal and click probabilities, dark probability and QBER numerator.
+
+    ``mu`` replaces ``s.mu`` and may be a numpy array.
+    """
+    raw_signal = mu * s.detector.efficiency * 10.0 ** (
         -(s.alpha_db_per_km * s.length_km + s.detector.receiver_loss_db) / 10.0
     )
     dark = s.n_detectors * s.detector.dark_per_window
@@ -101,12 +105,13 @@ def channel_stats(s: LinkScenario) -> ChannelStats:
             f"total dark probability {dark} >= 1 "
             f"({s.n_detectors} detectors at d={s.detector.dark_per_window})"
         )
-    raw_click = raw_signal + dark
+    return raw_signal, dark, raw_signal + dark, 0.5 * dark + s.baseline_error * raw_signal
+
+
+def channel_stats(s: LinkScenario) -> ChannelStats:
+    raw_signal, dark, raw_click, errors = _click_terms(s, s.mu)
     clamped = raw_click > 1.0
-    if raw_click > 0.0:
-        qber = (0.5 * dark + s.baseline_error * raw_signal) / raw_click
-    else:
-        qber = math.nan
+    qber = errors / raw_click if raw_click > 0.0 else math.nan
     return ChannelStats(
         p_signal=min(raw_signal, 1.0),
         p_dark=dark,

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .detector import DetectorMode, DetectorSpec
-from .errors import ScenarioParseError
+from .errors import ModelDomainError, ScenarioParseError
 from .link import LinkScenario
 from .scenario import ATTACK_NAMES, _parse_float, _parse_int, read_text, tokenize_kv
 from .security import AttackModel
@@ -52,9 +52,9 @@ class Preset:
     ) -> tuple[LinkScenario, AttackModel]:
         """Materialize the preset for one detector, delay and attack."""
         if detector not in self.detectors:
-            raise KeyError(f"preset {self.name} has no detector '{detector}'")
+            raise ModelDomainError(f"preset {self.name} has no detector '{detector}'")
         if attack not in ATTACK_NAMES:
-            raise KeyError(f"unknown attack '{attack}'")
+            raise ModelDomainError(f"unknown attack '{attack}'")
         kind, memory = ATTACK_NAMES[attack]
         s = LinkScenario(
             mu=self.mu,

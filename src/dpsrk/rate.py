@@ -29,6 +29,9 @@ FLAG_DEADTIME_LIMITED = "deadtime_limited"
 # Longest link max_secure_distance searches before giving up.
 _L_MAX_KM = 20000.0
 
+# Steps of optimize_mu's mu grid, which has one point more.
+_MU_GRID_STEPS = 512
+
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -57,7 +60,12 @@ def binary_entropy(e: float) -> float:
         raise ModelDomainError(f"entropy argument must be in [0, 1], got {e}")
     if e == 0.0 or e == 1.0:
         return 0.0
-    return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
+    return _entropy(e)
+
+
+def _entropy(e, log2=math.log2):
+    """Body of ``H(e)`` for 0 < e < 1; ``e`` may be an array with numpy's ``log2``."""
+    return -e * log2(e) - (1.0 - e) * log2(1.0 - e)
 
 
 def secure_rate_from_parts(
@@ -67,14 +75,12 @@ def secure_rate_from_parts(
     return max(0.0, clock_hz * p_click * (tau - f * binary_entropy(qber)))
 
 
-def _dead_time_exponent(s: LinkScenario, p_click: float) -> float:
-    """Mean clicks ``delta nu p_click t_d`` arriving during one dead time."""
+def _dead_time_exponent(s: LinkScenario, p_click):
+    """Mean clicks ``delta nu p_click t_d`` arriving during one dead time.
+
+    ``p_click`` may be an array.
+    """
     return s.effective_dead_time_delta * s.clock_hz * p_click * s.detector.dead_time
-
-
-def dead_time_factor(s: LinkScenario) -> float:
-    """Rate reduction ``exp(-delta nu p_click t_d)`` from detector dead time."""
-    return math.exp(-_dead_time_exponent(s, link.channel_stats(s).p_click))
 
 
 def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None) -> RatePoint:
@@ -156,14 +162,20 @@ def optimize_mu(
 ) -> tuple[float, RatePoint]:
     """Maximize the dead-time-corrected secure rate over the mean photon number.
 
-    A coarse grid brackets the maximum (the rate need not be unimodal over a
-    wide range once dead time matters) and golden-section search refines the
-    bracket below 1e-5.  Ties break toward smaller mu.  When the rate is
-    zero over the whole range the returned point carries the insecure flag.
+    A coarse grid of 513 points brackets the maximum (the rate need not be
+    unimodal over a wide range once dead time matters) and golden-section
+    search refines the bracket below 1e-5.  Ties break toward smaller mu.
+    When the rate is zero over the whole range the returned point carries
+    the insecure flag.
+
+    The grid is screened in one numpy pass through the rate chain; the
+    scalar chain then re-scores the points that may hold its maximum, so
+    the bracket, mu* and the returned point are those of a scalar scan.
     """
     lo, hi = mu_range
     if not 0.0 < lo < hi <= 1.0:
         raise ModelDomainError(f"mu range must satisfy 0 < lo < hi <= 1, got [{lo}, {hi}]")
+    from ._rate_grid import candidates  # loads numpy
 
     def point(mu: float) -> RatePoint:
         return secure_rate(replace(s, mu=mu), a, f_fixed=f_fixed)
@@ -171,7 +183,8 @@ def optimize_mu(
     def loss(mu: float) -> float:
         return -point(mu).secure_rate_deadtime_hz
 
-    a_mu, b_mu, best = grid_bracket(loss, lo, hi, 512)
+    n = _MU_GRID_STEPS
+    a_mu, b_mu, best = grid_bracket(loss, lo, hi, n, candidates(s, a, lo, hi, n, f_fixed))
     if -best <= 0.0:
         return lo, point(lo)
     mu_star = golden_min(loss, a_mu, b_mu, 1e-5)

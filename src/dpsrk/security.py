@@ -97,11 +97,43 @@ def f_ec(table: ECTable, e: float) -> float:
     return f0 + (f1 - f0) * (e - e0) / (e1 - e0)
 
 
+# The private helpers below hold the formulas that the scalar functions and
+# the array pass in ``_rate_grid`` share.  Their arguments may be floats or
+# numpy arrays; the transcendental functions are passed in for the same reason.
+
+
+def _multiphoton(mu, exp=math.exp, expm1=math.expm1):
+    return -expm1(-mu) - mu * exp(-mu)
+
+
+def _single_photon_fraction(p_click, p_m):
+    return (p_click - p_m) / p_click
+
+
+def _collision_bound(e, beta, eve_memory: bool):
+    """Ratio, its turning point, log argument and prefactor of the collision bound."""
+    if eve_memory:
+        x = e / beta
+        return x, 0.5, 0.5 + 2.0 * x - 2.0 * x * x, beta
+    y = e / (1.0 + beta)
+    return y, 0.25, 0.5 + 4.0 * y - 8.0 * y * y, (1.0 + beta) / 2.0
+
+
+def _surviving_fraction(mu, p_signal, delay_n: int, eve_memory: bool):
+    if eve_memory:
+        return 1.0 - 2.0 * mu + 2.0 * p_signal
+    return 1.0 - mu / delay_n + p_signal / delay_n
+
+
+def _hybrid_penalty(e, delay_n: int):
+    return e / (delay_n * (1.0 - 1.0 / (2.0 * delay_n)))
+
+
 def poisson_multiphoton(mu: float) -> float:
     """Probability ``1 - (1 + mu) e^-mu`` that a Poisson pulse has >= 2 photons."""
     if mu < 0.0:
         raise ModelDomainError(f"mu must be >= 0, got {mu}")
-    return -math.expm1(-mu) - mu * math.exp(-mu)
+    return _multiphoton(mu)
 
 
 def single_photon_fraction(p_click: float, p_m: float) -> float:
@@ -112,7 +144,7 @@ def single_photon_fraction(p_click: float, p_m: float) -> float:
     """
     if p_click <= 0.0:
         raise UndefinedQBERError("single-photon fraction undefined at zero click probability")
-    return (p_click - p_m) / p_click
+    return _single_photon_fraction(p_click, p_m)
 
 
 def shrink_individual(e: float, beta: float, eve_memory: bool) -> float:
@@ -133,18 +165,9 @@ def shrink_individual(e: float, beta: float, eve_memory: bool) -> float:
         raise ModelDomainError(f"single-photon fraction must be <= 1, got {beta}")
     if e < 0.0:
         raise ModelDomainError(f"error rate must be >= 0, got {e}")
-    if eve_memory:
-        x = e / beta
-        if x >= 0.5:
-            return 0.0
-        arg = 0.5 + 2.0 * x - 2.0 * x * x
-        scale = beta
-    else:
-        y = e / (1.0 + beta)
-        if y >= 0.25:
-            return 0.0
-        arg = 0.5 + 4.0 * y - 8.0 * y * y
-        scale = (1.0 + beta) / 2.0
+    ratio, turn, arg, scale = _collision_bound(e, beta, eve_memory)
+    if ratio >= turn:
+        return 0.0
     return max(0.0, -scale * math.log2(arg))
 
 
@@ -177,11 +200,7 @@ def surviving_fraction(mu: float, p_signal: float, delay_n: int, eve_memory: boo
         raise ModelDomainError(f"p_signal must be in [0, 1], got {p_signal}")
     if delay_n < 1:
         raise ModelDomainError(f"delay_n must be >= 1, got {delay_n}")
-    if eve_memory:
-        gamma = 1.0 - 2.0 * mu + 2.0 * p_signal
-    else:
-        gamma = 1.0 - mu / delay_n + p_signal / delay_n
-    return max(0.0, gamma)
+    return max(0.0, _surviving_fraction(mu, p_signal, delay_n, eve_memory))
 
 
 def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:
@@ -195,7 +214,7 @@ def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:
         raise ModelDomainError(f"gamma must be in [0, 1], got {gamma}")
     if not 0.0 <= e <= 0.5:
         raise ModelDomainError(f"error rate must be in [0, 0.5], got {e}")
-    return max(0.0, gamma - e / (delay_n * (1.0 - 1.0 / (2.0 * delay_n))))
+    return max(0.0, gamma - _hybrid_penalty(e, delay_n))
 
 
 def ir_error_floor(delay_n: int) -> float:

@@ -321,13 +321,13 @@ class TestMcCommand:
 
     def test_self_check_failure_exits_three(self, capsys, monkeypatch):
         # a skewed result must trip the |z| > 5 gate
-        from dpsrk import cli
+        from dpsrk import montecarlo
         from dpsrk.montecarlo import McResult
 
         def skewed(cfg):
             return McResult.from_counts(cfg.n_pulses, cfg.n_pulses // 2, 0)
 
-        monkeypatch.setattr(cli.montecarlo, "simulate_link", skewed)
+        monkeypatch.setattr(montecarlo, "simulate_link", skewed)
         rc, _, _ = run(
             capsys, "mc", "--preset", "fig3", "--length", "100",
             "--pulses", "100000", "--seed", "1",
@@ -513,3 +513,23 @@ class TestConsoleScript:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+    def test_numpy_loaded_only_by_sampler_and_mu_grid(self):
+        # only `mc` and `optimize-mu` need numpy; the other commands start without it
+        import subprocess
+        import sys
+
+        code = (
+            "import contextlib, io, sys\n"
+            "from dpsrk.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['rate', '--preset', 'fig3'])\n"
+            "    main(['max-distance', '--preset', 'fig3'])\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+            "import dpsrk\n"
+            "assert not hasattr(dpsrk, 'no_such_name')\n"
+            "assert dpsrk.McConfig is dpsrk.montecarlo.McConfig\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

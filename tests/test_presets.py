@@ -3,6 +3,7 @@
 import pytest
 
 from dpsrk.detector import DetectorMode
+from dpsrk.errors import DpsrkError
 from dpsrk.presets import load_presets, parse_preset, preset_directory
 from dpsrk.scenario import tokenize_kv
 
@@ -96,8 +97,12 @@ class TestRegistryValues:
         assert attack.memory
 
     def test_unknown_detector_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(DpsrkError):
             load_presets()["fig3"].scenario(detector="nss")
+
+    def test_unknown_attack_rejected(self):
+        with pytest.raises(DpsrkError):
+            load_presets()["fig3"].scenario(attack="collective")
 
 
 class TestPresetDirOverride:

@@ -14,7 +14,6 @@ from dpsrk.rate import (
     asymptotic_rate,
     bb84_reference,
     binary_entropy,
-    dead_time_factor,
     max_secure_distance,
     optimize_mu,
     secure_rate,
@@ -121,8 +120,12 @@ class TestSecureRate:
 
 
 class TestDeadTimeFactor:
+    # the factor exp(-delta nu p_click t_d) is secure_rate_deadtime_hz / secure_rate_hz
+
     def test_no_dead_time(self):
-        assert dead_time_factor(si_scenario(detector=quiet_detector())) == 1.0
+        point = secure_rate(si_scenario(detector=quiet_detector()), HYBRID_NOMEM)
+        assert point.secure_rate_hz > 0.0
+        assert point.secure_rate_deadtime_hz / point.secure_rate_hz == 1.0
 
     def test_known_value(self):
         # delta nu p_click t_d = 1 * 1e10 * 3.85e-3 * 45e-9 = 1.7325
@@ -136,14 +139,20 @@ class TestDeadTimeFactor:
                 receiver_loss_db=0.0, mode=DetectorMode.NONGATED,
             ),
         )
-        assert dead_time_factor(s) == pytest.approx(0.17684175249734452, rel=1e-12)
+        point = secure_rate(s, HYBRID_NOMEM)
+        assert point.secure_rate_deadtime_hz / point.secure_rate_hz == pytest.approx(
+            0.17684175249734452, rel=1e-12
+        )
 
     def test_zero_click(self):
+        # no clicks, no saturation: the corrected rate equals the (zero) rate
         dead = DetectorSpec(
             name="dead", efficiency=0.0, dark_per_window=0.0, dead_time=1e-6,
             receiver_loss_db=0.0, mode=DetectorMode.GATED,
         )
-        assert dead_time_factor(si_scenario(detector=dead)) == 1.0
+        point = secure_rate(si_scenario(detector=dead, clock_hz=1e10), HYBRID_NOMEM)
+        assert point.secure_rate_deadtime_hz == point.secure_rate_hz == 0.0
+        assert FLAG_DEADTIME_LIMITED not in point.flags
 
     def test_limited_flag(self):
         s = si_scenario(length_km=0.0, clock_hz=1e10)
