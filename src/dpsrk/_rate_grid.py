@@ -4,7 +4,7 @@
 ``secure_rate`` call per point.  The pass uses the chain's own formulas (the
 private helpers of ``link``, ``security`` and ``rate``), with masks where the
 scalar chain branches, so it differs from ``secure_rate`` only by the
-rounding of numpy's exp, expm1, log2 and interp, a few ulps.
+rounding of numpy's exp, expm1, log2 and interp.
 """
 
 from __future__ import annotations
