@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import Callable
 
 from . import rate
 from .detector import (
@@ -53,15 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class _Source:
-    """A resolved scenario source (file or preset) to build at any length."""
-
-    build: Callable[[float], tuple[LinkScenario, AttackModel]]
-    caption_f: float | None
-    curve: UpConversionCurve | None
-
-
 def _finite_float(text: str) -> float:
     """``type=`` converter for float options: NaN and +-inf are usage errors."""
     try:
@@ -83,46 +74,44 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _load_source(args) -> _Source:
+def _load_source(
+    args, length_km: float, need_curve: bool = False
+) -> tuple[LinkScenario, AttackModel, UpConversionCurve | None, float | None]:
+    """Resolve ``--scenario`` or ``--preset`` once, with the options the user gave.
+
+    Returns the scenario at ``length_km``, its attack, the up-conversion
+    curve (None without an ``upconv`` block) and the preset's caption f
+    (None for a scenario file).  Commands derive their other points from
+    this scenario with ``dataclasses.replace``.
+    """
     if bool(args.scenario) == bool(args.preset):
         raise UsageError("exactly one of --scenario or --preset is required")
+    given = {"attack": args.attack, "delay_n": args.n, "delta": args.delta}
+    if args.preset:
+        given["detector"] = args.detector
+    given = {key: value for key, value in given.items() if value is not None}
     if args.scenario:
-        sf = parse_scenario(read_text(args.scenario))
-        if args.attack is not None:
-            sf = replace(sf, attack=args.attack)
-        if args.n is not None:
-            sf = replace(sf, delay_n=args.n)
-        if args.delta is not None:
-            sf = replace(sf, delta=args.delta)
-        return _Source(build=sf.build, caption_f=None, curve=sf.upconversion_curve())
-    registry = load_presets()
-    if args.preset not in registry:
-        raise UsageError(
-            f"unknown preset '{args.preset}' (available: {', '.join(registry)})"
-        )
-    preset = registry[args.preset]
-    detector = args.detector or "si"
-    delay_n = args.n if args.n is not None else 100
-    attack = args.attack or "hybrid_nomem"
-
-    def build(length_km: float):
-        return preset.scenario(
-            detector=detector,
-            delay_n=delay_n,
-            attack=attack,
-            length_km=length_km,
-            delta=args.delta,
-        )
-
-    return _Source(build=build, caption_f=preset.f, curve=None)
+        sf = replace(parse_scenario(read_text(args.scenario)), **given)
+        build, curve, caption_f = sf.build, sf.upconversion_curve(), None
+    else:
+        registry = load_presets()
+        if args.preset not in registry:
+            raise UsageError(
+                f"unknown preset '{args.preset}' (available: {', '.join(registry)})"
+            )
+        preset = registry[args.preset]
+        build, curve, caption_f = partial(preset.scenario, **given), None, preset.f
+    if need_curve and curve is None:
+        raise UsageError("pump sweep needs a scenario with an upconv block")
+    return (*build(length_km=length_km), curve, caption_f)
 
 
-def _f_fixed(args, source: _Source) -> float | None:
+def _f_fixed(args, caption_f: float | None) -> float | None:
     if args.f_mode != "fixed":
         return None
     if args.f_value is not None:
         return args.f_value
-    return source.caption_f if source.caption_f is not None else 1.16
+    return caption_f if caption_f is not None else 1.16
 
 
 def _fmt(value: float) -> str:
@@ -180,9 +169,8 @@ def _emit_csv(path: str | None, lines: list[str]) -> None:
 
 
 def _cmd_rate(args) -> int:
-    source = _load_source(args)
-    scenario, attack = source.build(args.length)
-    point = rate.secure_rate(scenario, attack, f_fixed=_f_fixed(args, source))
+    scenario, attack, _curve, caption_f = _load_source(args, args.length)
+    point = rate.secure_rate(scenario, attack, f_fixed=_f_fixed(args, caption_f))
     _print_point(point)
     if args.csv:
         new_file = not Path(args.csv).exists()
@@ -198,28 +186,26 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--steps must be >= 2")
     if not args.lo < args.hi:
         raise UsageError("--lo must be < --hi")
-    source = _load_source(args)
-    f_fixed = _f_fixed(args, source)
+    values = [args.lo + (args.hi - args.lo) * i / (args.steps - 1) for i in range(args.steps)]
+    base, attack, curve, caption_f = _load_source(
+        args, values[0] if args.axis == "distance" else args.length, args.axis == "pump"
+    )
+    f_fixed = _f_fixed(args, caption_f)
     lines = [CSV_HEADER]
-    for i in range(args.steps):
-        value = args.lo + (args.hi - args.lo) * i / (args.steps - 1)
+    for value in values:
         if args.axis == "distance":
-            scenario, attack = source.build(value)
+            scenario = replace(base, length_km=value)
         elif args.axis == "mu":
-            scenario, attack = source.build(args.length)
-            scenario = replace(scenario, mu=value)
+            scenario = replace(base, mu=value)
         else:  # pump
-            if source.curve is None:
-                raise UsageError("pump sweep needs a scenario with an upconv block")
-            scenario, attack = source.build(args.length)
             det = make_detector_from_upconversion(
-                source.curve,
+                curve,
                 value,
-                dead_time=scenario.detector.dead_time,
-                receiver_loss_db=scenario.detector.receiver_loss_db,
-                name=scenario.detector.name,
+                dead_time=base.detector.dead_time,
+                receiver_loss_db=base.detector.receiver_loss_db,
+                name=base.detector.name,
             )
-            scenario = replace(scenario, detector=det)
+            scenario = replace(base, detector=det)
         point = rate.secure_rate(scenario, attack, f_fixed=f_fixed)
         lines.append(_point_row(point))
     _emit_csv(args.csv, lines)
@@ -227,11 +213,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_max_distance(args) -> int:
-    source = _load_source(args)
-    scenario, attack = source.build(0.0)
+    scenario, attack, _curve, caption_f = _load_source(args, 0.0)
     try:
         distance = rate.max_secure_distance(
-            scenario, attack, r_min=args.rmin, f_fixed=_f_fixed(args, source)
+            scenario, attack, r_min=args.rmin, f_fixed=_f_fixed(args, caption_f)
         )
     except NoSecureDistanceError:
         print("no secure distance", file=sys.stderr)
@@ -241,10 +226,9 @@ def _cmd_max_distance(args) -> int:
 
 
 def _cmd_optimize_mu(args) -> int:
-    source = _load_source(args)
-    scenario, attack = source.build(args.length)
+    scenario, attack, _curve, caption_f = _load_source(args, args.length)
     mu_star, point = rate.optimize_mu(
-        scenario, attack, (args.lo, args.hi), f_fixed=_f_fixed(args, source)
+        scenario, attack, (args.lo, args.hi), f_fixed=_f_fixed(args, caption_f)
     )
     print(f"optimal mu: {_fmt(mu_star)}")
     _print_point(point)
@@ -295,8 +279,7 @@ def _cmd_mc(args) -> int:
                 raise UsageError(f"{option} only applies with --mode ir")
     from . import montecarlo  # the sampler loads numpy, so only this command imports it
 
-    source = _load_source(args)
-    scenario, _attack = source.build(args.length)
+    scenario, *_ = _load_source(args, args.length)
     ir_fraction = args.ir_fraction
     if ir_fraction is None:
         ir_fraction = 1.0 if args.mode == "ir" else 0.0

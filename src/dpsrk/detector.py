@@ -143,9 +143,10 @@ class PumpOperatingPoint(NamedTuple):
 
 
 def _check_pump(pump_mw: float) -> None:
-    if pump_mw < 0.0:
-        raise ModelDomainError(f"pump power must be >= 0 mW, got {pump_mw}")
-    if pump_mw > SUPPORTED_PUMP_MAX_MW:
+    # the chained comparison also rejects NaN
+    if not 0.0 <= pump_mw <= SUPPORTED_PUMP_MAX_MW:
+        if pump_mw < 0.0:
+            raise ModelDomainError(f"pump power must be >= 0 mW, got {pump_mw}")
         raise ModelDomainError(
             f"pump power {pump_mw} mW is outside the supported "
             f"[0, {SUPPORTED_PUMP_MAX_MW}] mW domain"

@@ -18,7 +18,7 @@ from typing import Mapping
 from .detector import DetectorMode, DetectorSpec
 from .errors import ModelDomainError, ScenarioParseError
 from .link import LinkScenario
-from .scenario import ATTACK_NAMES, _parse_float, _parse_int, read_text, tokenize_kv
+from .scenario import ATTACK_NAMES, _parse_float, _parse_int, read_keys, read_text
 from .security import AttackModel
 
 PRESET_DIR_ENV = "DPSRK_PRESET_DIR"
@@ -27,6 +27,9 @@ DETECTOR_VARIANTS = ("si", "ingaas")
 
 _PRESET_FLOAT_KEYS = ("b", "mu", "f", "nu_hz", "alpha_db_per_km")
 _DETECTOR_KEYS = ("efficiency", "dark_per_window", "receiver_loss_db", "dead_time_s")
+_KNOWN_KEYS = {*_PRESET_FLOAT_KEYS, "n_set"} | {
+    f"{v}.{k}" for v in DETECTOR_VARIANTS for k in _DETECTOR_KEYS
+}
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,7 @@ class Preset:
 
 
 def parse_preset(name: str, text: str) -> Preset:
-    seen: dict[str, tuple[str, int, int]] = {}
-    for key, value, line, col in tokenize_kv(text):
-        if key in seen:
-            raise ScenarioParseError(f"duplicate key '{key}' in preset {name}", line, 1)
-        seen[key] = (value, line, col)
+    seen = read_keys(text, _KNOWN_KEYS, f" in preset {name}")
 
     def fetch(key: str) -> tuple[str, int, int]:
         if key not in seen:
@@ -85,6 +84,10 @@ def parse_preset(name: str, text: str) -> Preset:
         return _parse_float(key, *fetch(key))
 
     floats = {key: fetch_float(key) for key in _PRESET_FLOAT_KEYS}
+    if floats["f"] < 1.0:
+        raise ScenarioParseError(
+            f"overhead f must be >= 1 in preset {name}, got {floats['f']}", *seen["f"][1:]
+        )
     n_set_text, line, col = fetch("n_set")
     n_set = tuple(_parse_int("n_set", tok, line, col) for tok in n_set_text.split(","))
     detectors = {}
@@ -98,12 +101,6 @@ def parse_preset(name: str, text: str) -> Preset:
             receiver_loss_db=params["receiver_loss_db"],
             mode=DetectorMode.NONGATED if variant == "si" else DetectorMode.GATED,
         )
-    known = set(_PRESET_FLOAT_KEYS) | {"n_set"} | {
-        f"{v}.{k}" for v in DETECTOR_VARIANTS for k in _DETECTOR_KEYS
-    }
-    unknown = set(seen) - known
-    if unknown:
-        raise ScenarioParseError(f"preset {name} has unknown keys: {', '.join(sorted(unknown))}")
     return Preset(
         name=name,
         baseline_error=floats["b"],

@@ -94,7 +94,12 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
     The returned point is never an exception: insecure or out-of-range
     operating points carry zero rate plus explanatory flags.  Without clicks
     the QBER and f are NaN; above the correction table f is NaN.
+
+    Raises:
+        ModelDomainError: ``f_fixed`` is not a finite overhead >= 1.
     """
+    if f_fixed is not None and not 1.0 <= f_fixed < math.inf:
+        raise ModelDomainError(f"fixed overhead f must be finite and >= 1, got {f_fixed}")
     stats = link.channel_stats(s)
     e = stats.qber
     flags: set[str] = {FLAG_CLAMPED} if stats.clamped else set()
@@ -210,9 +215,10 @@ def max_secure_distance(
         NoSecureDistanceError: The uncorrected rate, which never rises with
             length, is at or below ``r_min`` before the corrected rate rises
             above it, or the walk reaches the 20000 km search cap first.
-        ModelDomainError: No crossing below the search cap.
+        ModelDomainError: ``r_min`` is negative or NaN, or no
+            crossing lies below the search cap.
     """
-    if r_min < 0.0:
+    if not 0.0 <= r_min:  # NaN fails too
         raise ModelDomainError(f"r_min must be >= 0, got {r_min}")
 
     def point(length: float) -> RatePoint:

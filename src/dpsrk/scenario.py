@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from collections.abc import Container
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .detector import (
@@ -30,49 +31,15 @@ ATTACK_NAMES = {
     "hybrid_nomem": (AttackKind.HYBRID_BS_IR, False),
 }
 
-_FLOAT_KEYS = {
-    "mu": "mu",
-    "alpha_db_per_km": "alpha_db_per_km",
-    "clock_hz": "clock_hz",
-    "baseline_error": "baseline_error",
-    "delta": "delta",
-    "detector.efficiency": "detector_efficiency",
-    "detector.dark_per_window": "detector_dark_per_window",
-    "detector.dead_time_s": "detector_dead_time_s",
-    "detector.receiver_loss_db": "detector_receiver_loss_db",
-    "upconv.a1": "upconv_a1",
-    "upconv.a2": "upconv_a2",
-    "upconv.b0": "upconv_b0",
-    "upconv.b1": "upconv_b1",
-    "upconv.b2": "upconv_b2",
-    "upconv.b3": "upconv_b3",
-    "upconv.b4": "upconv_b4",
-    "upconv.bandwidth_hz": "upconv_bandwidth_hz",
-    "upconv.pump_mw": "upconv_pump_mw",
-}
-_INT_KEYS = {"delay_n": "delay_n"}
-_STR_KEYS = {
-    "attack": "attack",
-    "detector.name": "detector_name",
-    "detector.mode": "detector_mode",
-}
-KNOWN_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS)
-
-_UPCONV_CURVE_KEYS = (
-    "upconv.a1",
-    "upconv.a2",
-    "upconv.b0",
-    "upconv.b1",
-    "upconv.b2",
-    "upconv.b3",
-    "upconv.b4",
-    "upconv.bandwidth_hz",
-)
-
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Parsed scenario parameters, kept verbatim for lossless round-trips."""
+    """Parsed scenario parameters, kept verbatim for lossless round-trips.
+
+    Each field is one file key: ``detector_*`` and ``upconv_*`` fields are
+    read from the dotted keys ``detector.*`` and ``upconv.*``, the others
+    from their own names.  Fields without a default are required keys.
+    """
 
     mu: float
     alpha_db_per_km: float
@@ -100,16 +67,7 @@ class ScenarioFile:
     def upconversion_curve(self) -> UpConversionCurve | None:
         if self.upconv_a1 is None:
             return None
-        return UpConversionCurve(
-            a1=self.upconv_a1,
-            a2=self.upconv_a2,
-            b0=self.upconv_b0,
-            b1=self.upconv_b1,
-            b2=self.upconv_b2,
-            b3=self.upconv_b3,
-            b4=self.upconv_b4,
-            bandwidth_hz=self.upconv_bandwidth_hz,
-        )
+        return UpConversionCurve(**{name: getattr(self, f"upconv_{name}") for name in _CURVE})
 
     def detector(self) -> DetectorSpec:
         curve = self.upconversion_curve()
@@ -145,6 +103,21 @@ class ScenarioFile:
             dead_time_delta=self.delta,
         )
         return scenario, AttackModel(kind=kind, eve_memory=memory)
+
+
+def _key(name: str) -> str:
+    """The file key of a ScenarioFile field."""
+    group, _, rest = name.partition("_")
+    return f"{group}.{rest}" if group in ("detector", "upconv") else name
+
+
+#: Every scenario-file key, mapped to its ScenarioFile field, in field order.
+KNOWN_KEYS = {_key(field.name): field for field in fields(ScenarioFile)}
+
+# The curve's parameters, each read from the key ``upconv.<name>``.  Read
+# here, at import, so that a caller may swap ``UpConversionCurve`` for a
+# wrapper function afterwards.
+_CURVE = tuple(field.name for field in fields(UpConversionCurve))
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -195,41 +168,43 @@ def _parse_int(key: str, value: str, line: int, col: int) -> int:
         raise ScenarioParseError(f"invalid integer for key '{key}': {value!r}", line, col) from None
 
 
-def parse_scenario(text: str) -> ScenarioFile:
-    """Parse scenario text; raises ScenarioParseError with diagnostics."""
+def read_keys(
+    text: str, known: Container[str], where: str = ""
+) -> dict[str, tuple[str, int, int]]:
+    """Map each key of key=value text to its (value, line, column-of-value).
+
+    A key not in ``known``, or given twice, raises ScenarioParseError at its
+    line; ``where`` ends that message.
+    """
     seen: dict[str, tuple[str, int, int]] = {}
     for key, value, line, col in tokenize_kv(text):
-        if key not in KNOWN_KEYS:
-            raise ScenarioParseError(f"unknown key '{key}'", line, 1)
+        if key not in known:
+            raise ScenarioParseError(f"unknown key '{key}'{where}", line, 1)
         if key in seen:
-            raise ScenarioParseError(f"duplicate key '{key}'", line, 1)
+            raise ScenarioParseError(f"duplicate key '{key}'{where}", line, 1)
         seen[key] = (value, line, col)
+    return seen
 
+
+# Field type -> the parser of a value of that type.
+_PARSERS = {"float": _parse_float, "int": _parse_int, "str": lambda key, value, line, col: value}
+
+
+def parse_scenario(text: str) -> ScenarioFile:
+    """Parse scenario text; raises ScenarioParseError with diagnostics."""
+    seen = read_keys(text, KNOWN_KEYS)
     values: dict[str, object] = {}
     for key, (value, line, col) in seen.items():
-        if key in _FLOAT_KEYS:
-            values[_FLOAT_KEYS[key]] = _parse_float(key, value, line, col)
-        elif key in _INT_KEYS:
-            values[_INT_KEYS[key]] = _parse_int(key, value, line, col)
-        else:
-            values[_STR_KEYS[key]] = value
+        field = KNOWN_KEYS[key]
+        values[field.name] = _PARSERS[field.type.partition(" ")[0]](key, value, line, col)
 
     def require(key: str):
         if key not in seen:
             raise ScenarioParseError(f"missing required key '{key}'")
 
-    for key in (
-        "mu",
-        "alpha_db_per_km",
-        "clock_hz",
-        "baseline_error",
-        "delay_n",
-        "attack",
-        "detector.name",
-        "detector.dead_time_s",
-        "detector.receiver_loss_db",
-    ):
-        require(key)
+    for key, field in KNOWN_KEYS.items():
+        if field.default is MISSING:
+            require(key)
 
     attack = values["attack"]
     if attack not in ATTACK_NAMES:
@@ -246,9 +221,10 @@ def parse_scenario(text: str) -> ScenarioFile:
             f"unknown detector.mode '{mode}' (expected gated or nongated)", line, col
         )
 
-    upconv_present = [k for k in _UPCONV_CURVE_KEYS if k in seen]
-    if upconv_present and len(upconv_present) != len(_UPCONV_CURVE_KEYS):
-        missing = sorted(set(_UPCONV_CURVE_KEYS) - set(upconv_present))
+    curve_keys = [f"upconv.{name}" for name in _CURVE]
+    upconv_present = [k for k in curve_keys if k in seen]
+    if upconv_present and len(upconv_present) != len(curve_keys):
+        missing = sorted(set(curve_keys) - set(upconv_present))
         raise ScenarioParseError(f"incomplete upconv block: missing {', '.join(missing)}")
     if "upconv.pump_mw" in seen:
         if not upconv_present:
@@ -271,12 +247,10 @@ def parse_scenario(text: str) -> ScenarioFile:
 
 def serialize_scenario(sf: ScenarioFile) -> str:
     """Render a ScenarioFile back to text; parse(serialize(x)) == x."""
-    inverse = {attr: key for key, attr in (_FLOAT_KEYS | _STR_KEYS | _INT_KEYS).items()}
     lines = []
-    for field in fields(ScenarioFile):
+    for key, field in KNOWN_KEYS.items():
         value = getattr(sf, field.name)
         if value is None:
             continue
-        lines.append(f"{inverse[field.name]} = {value!r}" if isinstance(value, float)
-                     else f"{inverse[field.name]} = {value}")
+        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"

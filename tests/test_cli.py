@@ -1,10 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dpsrk.cli import CSV_HEADER, main
-from dpsrk.scenario import KNOWN_KEYS
+from dpsrk import scenario as scenario_module
+from dpsrk.cli import CSV_HEADER, _point_row, main
+from dpsrk.rate import secure_rate
+from dpsrk.scenario import KNOWN_KEYS, parse_scenario
 
 from test_scenario import BASIC, UPCONV
 
@@ -82,6 +85,16 @@ class TestRateCommand:
         rc, _, err = run(capsys, "rate", "--scenario", str(bad), "--length", "10")
         assert rc == 1
         assert "mu" in err
+
+    @pytest.mark.parametrize("value", ["0.5", "0", "-5"])
+    def test_fixed_f_below_one_exits_one(self, capsys, value):
+        rc, out, err = run(
+            capsys, "rate", "--preset", "fig3", "--length", "100",
+            "--f-mode", "fixed", f"--f-value={value}",
+        )
+        assert rc == 1
+        assert out == ""
+        assert ">= 1" in err
 
     @pytest.mark.parametrize(
         "option, value",
@@ -183,6 +196,55 @@ class TestSweepCommand:
         )
         assert rc == 1
         assert "upconv" in err
+
+    @pytest.mark.parametrize(
+        "axis, lo, hi, field",
+        [
+            ("distance", 0.0, 300.0, None),
+            ("mu", 0.05, 0.8, "mu"),
+            ("pump", 0.0, 5.0, "upconv_pump_mw"),
+        ],
+    )
+    def test_upconv_sweep_matches_library(self, capsys, upconv_scenario_path, axis, lo, hi, field):
+        # each row is the file's scenario rebuilt at that step and rated
+        rc, out, _ = run(
+            capsys, "sweep", "--scenario", upconv_scenario_path, "--axis", axis,
+            "--lo", repr(lo), "--hi", repr(hi), "--steps", "13", "--length", "40",
+        )
+        assert rc == 0
+        sf = parse_scenario(UPCONV)
+        expected = [CSV_HEADER]
+        for i in range(13):
+            value = lo + (hi - lo) * i / 12
+            if field is None:
+                s, a = sf.build(value)
+            else:
+                s, a = replace(sf, **{field: value}).build(40.0)
+            expected.append(_point_row(secure_rate(s, a)))
+        assert out.splitlines() == expected
+
+    @pytest.mark.parametrize("axis", ["distance", "mu", "pump"])
+    def test_upconv_sweep_builds_curve_a_fixed_number_of_times(
+        self, capsys, monkeypatch, upconv_scenario_path, axis
+    ):
+        built = []
+        curve = scenario_module.UpConversionCurve
+
+        def counting(**kwargs):
+            built.append(kwargs)
+            return curve(**kwargs)
+
+        monkeypatch.setattr(scenario_module, "UpConversionCurve", counting)
+        counts = []
+        for steps in ("3", "40"):
+            built.clear()
+            rc, _, _ = run(
+                capsys, "sweep", "--scenario", upconv_scenario_path, "--axis", axis,
+                "--lo", "0.1", "--hi", "0.9", "--steps", steps, "--length", "40",
+            )
+            assert rc == 0
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
 
     def test_deterministic_output_files(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

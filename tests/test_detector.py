@@ -38,8 +38,9 @@ class TestUpEfficiency:
         assert up_efficiency(CURVE, 0.002142) == pytest.approx(0.07501210830197737, rel=1e-12)
 
     def test_negative_pump_rejected(self):
-        with pytest.raises(ModelDomainError):
-            up_efficiency(CURVE, -0.1)
+        for pump in (-0.1, math.nan):
+            with pytest.raises(ModelDomainError):
+                up_efficiency(CURVE, pump)
 
     def test_beyond_supported_domain_rejected(self):
         with pytest.raises(ModelDomainError):
@@ -63,8 +64,9 @@ class TestUpDarkRate:
         assert up_dark_rate(CURVE, 1.0) == pytest.approx(986.29765, rel=1e-12)
 
     def test_negative_pump_rejected(self):
-        with pytest.raises(ModelDomainError):
-            up_dark_rate(CURVE, -1.0)
+        for pump in (-1.0, math.nan):
+            with pytest.raises(ModelDomainError):
+                up_dark_rate(CURVE, pump)
 
     def test_negative_fit_rejected_at_construction(self):
         with pytest.raises(ModelRangeError):
@@ -168,8 +170,10 @@ class TestOptimizePump:
             optimize_pump(dead, (0.0, 1.0))
 
     def test_inverted_range_rejected(self):
-        with pytest.raises(ModelDomainError):
-            optimize_pump(CURVE, (0.5, 0.1))
+        # a NaN end is a domain error too, not "efficiency is zero"
+        for pump_range in ((0.5, 0.1), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ModelDomainError):
+                optimize_pump(CURVE, pump_range)
 
 
 class TestMakeDetector:

@@ -128,8 +128,17 @@ class TestPresetParsing:
         text = (preset_directory() / "fig3.preset").read_text() + "mystery = 1\n"
         from dpsrk.errors import ScenarioParseError
 
-        with pytest.raises(ScenarioParseError):
+        with pytest.raises(ScenarioParseError, match="unknown key 'mystery'") as info:
             parse_preset("fig3", text)
+        assert info.value.line == len(text.splitlines())
+
+    def test_duplicate_key_rejected(self):
+        text = (preset_directory() / "fig3.preset").read_text() + "mu = 0.3\n"
+        from dpsrk.errors import ScenarioParseError
+
+        with pytest.raises(ScenarioParseError, match="duplicate key 'mu'") as info:
+            parse_preset("fig3", text)
+        assert info.value.line == len(text.splitlines())
 
     def test_missing_key_rejected(self):
         text = "b = 0.01\n"
@@ -144,6 +153,7 @@ class TestPresetParsing:
             ("mu = 0.2", "mu = 0.2x"),
             ("n_set = 1,10,100", "n_set = 1,a,100"),
             ("si.dead_time_s = 45e-9", "si.dead_time_s = inf"),
+            ("f = 1.16", "f = 0.5"),
         ],
     )
     def test_bad_number_reports_line_and_column(self, old, new):

@@ -111,6 +111,17 @@ class TestSecureRate:
             point = secure_rate(s, attack)
             assert point.secure_rate_hz > 0.0
 
+    @pytest.mark.parametrize("f", [0.5, 0.0, -5.0, math.nan, math.inf])
+    def test_fixed_f_below_one_rejected(self, f):
+        # f >= 1 bounds the error-correction cost below by the Shannon limit
+        s = si_scenario(100.0)
+        with pytest.raises(ModelDomainError):
+            secure_rate(s, HYBRID_NOMEM, f_fixed=f)
+        with pytest.raises(ModelDomainError):
+            optimize_mu(s, HYBRID_NOMEM, (0.01, 1.0), f_fixed=f)
+        with pytest.raises(ModelDomainError):
+            max_secure_distance(s, HYBRID_NOMEM, f_fixed=f)
+
     def test_rate_point_ordering_invariant(self):
         for length in (0.0, 50.0, 100.0, 200.0, 256.0):
             point = secure_rate(si_scenario(length), HYBRID_NOMEM)
@@ -256,6 +267,11 @@ class TestMaxSecureDistance:
             10.0 * math.log10(s.clock_hz * s.mu * 0.35 * (1.0 - s.mu / 10.0) / r_min) - 2.1
         ) / 0.21
         assert found == pytest.approx(closed, abs=0.1)
+
+    @pytest.mark.parametrize("r_min", [-1.0, math.nan])
+    def test_bad_r_min_rejected(self, r_min):
+        with pytest.raises(ModelDomainError):
+            max_secure_distance(si_scenario(), HYBRID_NOMEM, r_min=r_min)
 
     def test_insecure_at_zero(self):
         s = si_scenario(0.0, baseline_error=0.3)
