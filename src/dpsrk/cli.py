@@ -74,6 +74,13 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _reject_given(options: tuple[tuple[str, object], ...], reason: str) -> None:
+    """Raise UsageError naming the first ``(option, value)`` pair the user gave."""
+    for option, value in options:
+        if value is not None:
+            raise UsageError(f"{option} {reason}")
+
+
 def _load_source(
     args, length_km: float, need_curve: bool = False
 ) -> tuple[LinkScenario, AttackModel, UpConversionCurve | None, float | None]:
@@ -86,13 +93,16 @@ def _load_source(
     """
     if bool(args.scenario) == bool(args.preset):
         raise UsageError("exactly one of --scenario or --preset is required")
-    given = {"attack": args.attack, "delay_n": args.n, "delta": args.delta}
-    if args.preset:
-        given["detector"] = args.detector
+    given = {
+        "attack": args.attack, "delay_n": args.n, "delta": args.delta, "detector": args.detector
+    }
     given = {key: value for key, value in given.items() if value is not None}
     if args.scenario:
+        if args.detector is not None:  # the file names its own detector
+            raise UsageError("--detector only applies with --preset")
         sf = replace(parse_scenario(read_text(args.scenario)), **given)
-        build, curve, caption_f = sf.build, sf.upconversion_curve(), None
+        curve = sf.upconversion_curve()
+        build, caption_f = partial(sf.build_with, curve), None
     else:
         registry = load_presets()
         if args.preset not in registry:
@@ -271,12 +281,15 @@ def _z_score(estimate: float, analytic: float, se: float) -> float:
 
 
 def _cmd_mc(args) -> int:
+    _reject_given(
+        (("--f-mode", args.f_mode), ("--f-value", args.f_value), ("--attack", args.attack)),
+        "does not apply to mc",
+    )
     if args.mode == "link":
-        for option, value in (
+        ir_options = (
             ("--ir-fraction", args.ir_fraction), ("--eve-m", args.eve_m), ("--bob-n", args.bob_n)
-        ):
-            if value is not None:
-                raise UsageError(f"{option} only applies with --mode ir")
+        )
+        _reject_given(ir_options, "only applies with --mode ir")
     from . import montecarlo  # the sampler loads numpy, so only this command imports it
 
     scenario, *_ = _load_source(args, args.length)
@@ -394,7 +407,8 @@ def _add_source_args(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument("--delta", type=_finite_float, default=None,
                     help="dead-time exponent scale (default 1/n_detectors)")
-    sp.add_argument("--f-mode", choices=("table", "fixed"), default="table",
+    # default None, read as "table", so that mc can tell a given --f-mode
+    sp.add_argument("--f-mode", choices=("table", "fixed"), default=None,
                     help="error-correction overhead: table interpolation or fixed value")
     sp.add_argument("--f-value", type=_finite_float, default=None,
                     help="overhead used with --f-mode fixed (default: preset f or 1.16)")

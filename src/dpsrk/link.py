@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .detector import DetectorSpec
 from .errors import InvalidRegimeError, ModelDomainError
@@ -75,9 +76,8 @@ class LinkScenario:
         return 1.0 / self.n_detectors
 
 
-@dataclass(frozen=True)
-class ChannelStats:
-    """Click probabilities and QBER of one scenario.
+class ChannelStats(NamedTuple):
+    """Click probabilities and QBER of one scenario, as an immutable named tuple.
 
     ``p_signal`` and ``p_click`` are clamped to 1 (``clamped`` records
     whether clamping occurred); ``qber`` is computed from the unclamped
@@ -112,11 +112,5 @@ def channel_stats(s: LinkScenario) -> ChannelStats:
     raw_signal, dark, raw_click, errors = _click_terms(s, s.mu)
     clamped = raw_click > 1.0
     qber = errors / raw_click if raw_click > 0.0 else math.nan
-    return ChannelStats(
-        p_signal=min(raw_signal, 1.0),
-        p_dark=dark,
-        p_click=min(raw_click, 1.0),
-        qber=qber,
-        clamped=clamped,
-    )
+    return ChannelStats(min(raw_signal, 1.0), dark, min(raw_click, 1.0), qber, clamped)
 

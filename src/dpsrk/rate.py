@@ -9,7 +9,8 @@ information through the shrinking factor tau and the error-correction cost
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from . import link, security
 from ._search import golden_min, grid_bracket
@@ -33,9 +34,8 @@ _L_MAX_KM = 20000.0
 _MU_GRID_STEPS = 512
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """All derived quantities at one operating point."""
+class RatePoint(NamedTuple):
+    """All derived quantities at one operating point, as an immutable named tuple."""
 
     length_km: float
     p_signal: float
@@ -100,17 +100,16 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
     """
     if f_fixed is not None and not 1.0 <= f_fixed < math.inf:
         raise ModelDomainError(f"fixed overhead f must be finite and >= 1, got {f_fixed}")
-    stats = link.channel_stats(s)
-    e = stats.qber
-    flags: set[str] = {FLAG_CLAMPED} if stats.clamped else set()
+    p_signal, p_dark, p_click, e, clamped = link.channel_stats(s)
+    flags: set[str] = {FLAG_CLAMPED} if clamped else set()
     tau, f_used, r, saturation = 0.0, math.nan, 0.0, 0.0
-    if stats.p_click > 0.0:
+    if p_click > 0.0:
         if a.kind is AttackKind.HYBRID_BS_IR:
-            gamma = security.surviving_fraction(s.mu, stats.p_signal, s.delay_n, a.memory)
+            gamma = security.surviving_fraction(s.mu, p_signal, s.delay_n, a.memory)
             tau = security.shrink_hybrid(e, gamma, s.delay_n)
         else:
             p_m = security.poisson_multiphoton(s.mu)
-            beta = security.single_photon_fraction(stats.p_click, p_m)
+            beta = security.single_photon_fraction(p_click, p_m)
             if beta > 0.0:
                 tau = security.shrink_individual(e, beta, a.memory)
         try:
@@ -118,24 +117,24 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
         except AboveCorrectionRangeError:
             flags.add(FLAG_ABOVE_EC_RANGE)
         else:
-            r = secure_rate_from_parts(s.clock_hz, stats.p_click, e, tau, f_used)
-            saturation = _dead_time_exponent(s, stats.p_click)
+            r = secure_rate_from_parts(s.clock_hz, p_click, e, tau, f_used)
+            saturation = _dead_time_exponent(s, p_click)
             if saturation >= 1.0:
                 flags.add(FLAG_DEADTIME_LIMITED)
     if tau == 0.0 or r == 0.0:
         flags.add(FLAG_INSECURE)
     return RatePoint(
-        length_km=s.length_km,
-        p_signal=stats.p_signal,
-        p_dark=stats.p_dark,
-        p_click=stats.p_click,
-        qber=e,
-        tau=tau,
-        f_used=f_used,
-        sifted_rate_hz=s.clock_hz * stats.p_click,
-        secure_rate_hz=r,
-        secure_rate_deadtime_hz=r * math.exp(-saturation),
-        flags=frozenset(flags),
+        s.length_km,
+        p_signal,
+        p_dark,
+        p_click,
+        e,
+        tau,
+        f_used,
+        s.clock_hz * p_click,
+        r,
+        r * math.exp(-saturation),
+        frozenset(flags),
     )
 
 

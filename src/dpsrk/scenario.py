@@ -70,7 +70,9 @@ class ScenarioFile:
         return UpConversionCurve(**{name: getattr(self, f"upconv_{name}") for name in _CURVE})
 
     def detector(self) -> DetectorSpec:
-        curve = self.upconversion_curve()
+        return self._detector(self.upconversion_curve())
+
+    def _detector(self, curve: UpConversionCurve | None) -> DetectorSpec:
         if curve is not None and self.upconv_pump_mw is not None:
             return make_detector_from_upconversion(
                 curve,
@@ -91,6 +93,12 @@ class ScenarioFile:
 
     def build(self, length_km: float) -> tuple[LinkScenario, AttackModel]:
         """Materialize the scenario at one link length."""
+        return self.build_with(self.upconversion_curve(), length_km)
+
+    def build_with(
+        self, curve: UpConversionCurve | None, length_km: float
+    ) -> tuple[LinkScenario, AttackModel]:
+        """``build``, given this file's ``upconversion_curve()`` built once by the caller."""
         kind, memory = ATTACK_NAMES[self.attack]
         scenario = LinkScenario(
             mu=self.mu,
@@ -98,7 +106,7 @@ class ScenarioFile:
             length_km=length_km,
             clock_hz=self.clock_hz,
             baseline_error=self.baseline_error,
-            detector=self.detector(),
+            detector=self._detector(curve),
             delay_n=self.delay_n,
             dead_time_delta=self.delta,
         )

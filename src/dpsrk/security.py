@@ -85,15 +85,16 @@ def f_ec(table: ECTable, e: float) -> float:
     """
     if e < 0.0:
         raise ModelDomainError(f"error rate must be >= 0, got {e}")
-    es = [pe for pe, _ in table.points]
-    if e <= es[0]:
-        return table.points[0][1]
-    if e > es[-1]:
+    points = table.points
+    if e <= points[0][0]:
+        return points[0][1]
+    if e > points[-1][0]:
         raise AboveCorrectionRangeError(
-            f"error rate {e} exceeds the correction table range (max {es[-1]})"
+            f"error rate {e} exceeds the correction table range (max {points[-1][0]})"
         )
-    i = bisect.bisect_left(es, e)
-    (e0, f0), (e1, f1) = table.points[i - 1], table.points[i]
+    # (e,) sorts before every breakpoint (e, f), so this is bisect_left on the e column
+    i = bisect.bisect_left(points, (e,))
+    (e0, f0), (e1, f1) = points[i - 1], points[i]
     return f0 + (f1 - f0) * (e - e0) / (e1 - e0)
 
 

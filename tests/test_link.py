@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from dpsrk.detector import DetectorMode, DetectorSpec
 from dpsrk.errors import InvalidRegimeError, ModelDomainError
-from dpsrk.link import channel_stats
+from dpsrk.link import ChannelStats, channel_stats
 
 from conftest import INGAAS, si_scenario
 
@@ -162,3 +162,20 @@ class TestScenarioValidation:
     def test_qber_nan_in_stats_when_zero_click(self):
         s = si_scenario(detector=toy_detector(efficiency=0.0))
         assert math.isnan(channel_stats(s).qber)
+
+
+class TestChannelStatsRecord:
+    def test_field_order(self):
+        assert ChannelStats._fields == ("p_signal", "p_dark", "p_click", "qber", "clamped")
+
+    def test_fields_cannot_be_assigned(self):
+        stats = channel_stats(si_scenario())
+        with pytest.raises(AttributeError):
+            stats.qber = 0.0
+
+    def test_equal_stats_compare_and_hash_equal(self):
+        a, b = channel_stats(si_scenario(100.0)), channel_stats(si_scenario(100.0))
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != channel_stats(si_scenario(50.0))

@@ -11,6 +11,7 @@ from dpsrk.rate import (
     FLAG_ABOVE_EC_RANGE,
     FLAG_DEADTIME_LIMITED,
     FLAG_INSECURE,
+    RatePoint,
     asymptotic_rate,
     bb84_reference,
     binary_entropy,
@@ -359,3 +360,36 @@ class TestMonotonicity:
                         rates["si"].secure_rate_deadtime_hz
                         >= rates["ingaas"].secure_rate_deadtime_hz
                     )
+
+
+class TestRatePointRecord:
+    def point(self, secure_rate_hz, flags):
+        return RatePoint(100.0, 1e-4, 7e-8, 1e-4, 0.01, 0.9, 1.16, 1e5,
+                         secure_rate_hz, secure_rate_hz, frozenset(flags))
+
+    def test_field_order(self):
+        assert RatePoint._fields == (
+            "length_km", "p_signal", "p_dark", "p_click", "qber", "tau", "f_used",
+            "sifted_rate_hz", "secure_rate_hz", "secure_rate_deadtime_hz", "flags",
+        )
+
+    def test_fields_cannot_be_assigned(self):
+        point = secure_rate(si_scenario(100.0), HYBRID_NOMEM)
+        with pytest.raises(AttributeError):
+            point.secure_rate_hz = 0.0
+
+    def test_secure_needs_a_rate_and_no_insecure_flag(self):
+        assert self.point(5e4, ()).secure
+        assert self.point(5e4, (FLAG_DEADTIME_LIMITED,)).secure
+        assert not self.point(0.0, ()).secure
+        assert not self.point(5e4, (FLAG_INSECURE,)).secure
+        assert secure_rate(si_scenario(100.0), HYBRID_NOMEM).secure
+        assert not secure_rate(si_scenario(100.0, baseline_error=0.2), HYBRID_NOMEM).secure
+
+    def test_equal_points_compare_and_hash_equal(self):
+        a = secure_rate(si_scenario(100.0), HYBRID_NOMEM)
+        b = secure_rate(si_scenario(100.0), HYBRID_NOMEM)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != secure_rate(si_scenario(50.0), HYBRID_NOMEM)

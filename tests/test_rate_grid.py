@@ -1,7 +1,7 @@
 """The array pass over optimize_mu's grid against the scalar rate chain."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,7 +119,7 @@ def scalar_optimize_mu(s, a, mu_range, f_fixed=None):
 
 def bits(mu, point):
     """Everything optimize_mu returns, with NaN comparing equal to NaN."""
-    values = [repr(getattr(point, f.name)) for f in fields(point) if f.name != "flags"]
+    values = [repr(getattr(point, name)) for name in point._fields if name != "flags"]
     return repr(mu), values, point.flags
 
 

@@ -1,17 +1,22 @@
-"""The benchmark's tracer still wraps the scenario path and the CLI.
+"""The benchmark's tracer still wraps the scenario path, the CLI and the rate chain.
 
-``bench/tracing.py`` swaps module attributes of ``dpsrk.scenario`` and
-``dpsrk.cli`` for timing wrappers while ``bench/run.py --trace 1`` runs.
-A refactor that looks those names up in another way, or reads the fields of
-a wrapped class at call time, breaks traced runs; this test catches that.
+``bench/tracing.py`` swaps module attributes of ``dpsrk.scenario``,
+``dpsrk.cli``, ``dpsrk.link``, ``dpsrk.security`` and ``dpsrk.rate`` for timing
+wrappers while ``bench/run.py --trace 1`` runs.  A refactor that looks those
+names up in another way, or reads the fields of a wrapped class at call time,
+breaks traced runs or blinds their per-layer figures; these tests catch that.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import dpsrk.cli
+import dpsrk.rate
 import dpsrk.scenario
 
+from conftest import HYBRID_NOMEM, IND_MEM, IND_NOMEM, si_scenario
 from test_scenario import UPCONV
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -47,3 +52,36 @@ def test_traced_scenario_file_and_sweep(tmp_path, capsys):
     # uninstalling restores the real functions
     assert not hasattr(dpsrk.cli.main, "__wrapped__")
     assert not hasattr(dpsrk.scenario.UpConversionCurve, "__wrapped__")
+
+
+HYBRID_LAYERS = ("security.surviving_fraction", "security.shrink_hybrid")
+INDIVIDUAL_LAYERS = (
+    "security.poisson_multiphoton",
+    "security.single_photon_fraction",
+    "security.shrink_individual",
+)
+
+
+@pytest.mark.parametrize(
+    "attack, layers, others",
+    [
+        (HYBRID_NOMEM, HYBRID_LAYERS, INDIVIDUAL_LAYERS),
+        (IND_MEM, INDIVIDUAL_LAYERS, HYBRID_LAYERS),
+        (IND_NOMEM, INDIVIDUAL_LAYERS, HYBRID_LAYERS),
+    ],
+)
+def test_traced_secure_rate_sees_each_layer_once(attack, layers, others):
+    # mu = 0.01 at 10 km leaves a positive single-photon fraction, so the
+    # individual chain reaches shrink_individual
+    s = si_scenario(10.0, mu=0.01)
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        point = dpsrk.rate.secure_rate(s, attack)
+    finally:
+        tracer.uninstall()
+    assert point.secure
+    for name in ("rate.secure_rate", "link.channel_stats", "security.f_ec", *layers):
+        assert tracer.calls[name] == 1, name
+    for name in others:
+        assert tracer.calls[name] == 0, name
