@@ -37,7 +37,6 @@ from .rate import (
 from .scenario import ScenarioFile, parse_scenario, serialize_scenario
 from .security import (
     CASCADE_EC_TABLE,
-    AttackKind,
     AttackModel,
     ECTable,
     bs_transmission,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PPLN_UPCONVERTER",
     "CASCADE_EC_TABLE",
-    "AttackKind",
     "AttackModel",
     "ChannelStats",
     "DarkConvention",

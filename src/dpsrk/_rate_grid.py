@@ -14,7 +14,7 @@ import numpy as np
 from . import link, security
 from .link import LinkScenario
 from .rate import _dead_time_exponent, _entropy
-from .security import CASCADE_EC_TABLE, AttackKind, AttackModel
+from .security import CASCADE_EC_TABLE, AttackModel
 
 # How far, as a fraction of the sifted rate, the scalar chain's rate may lie
 # from this pass's.  Random scenarios stay within 1e-13; the tests hold the
@@ -41,7 +41,7 @@ def grid_rates(
     # Masked-out lanes may divide by zero, overflow or take log2 of a non-positive number.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         e = errors / raw_click
-        if a.kind is AttackKind.HYBRID_BS_IR:
+        if a.hybrid:
             gamma = np.maximum(
                 0.0, security._surviving_fraction(mus, p_signal, s.delay_n, a.memory)
             )

@@ -30,7 +30,7 @@ from .link import LinkScenario
 from .plotscript import render_plot_script
 from .presets import load_presets
 from .rate import RatePoint
-from .scenario import ATTACK_NAMES, parse_scenario, read_text
+from .scenario import parse_scenario, read_text
 from .security import AttackModel
 
 CSV_HEADER = (
@@ -118,6 +118,7 @@ def _load_source(
 
 def _f_fixed(args, caption_f: float | None) -> float | None:
     if args.f_mode != "fixed":
+        _reject_given((("--f-value", args.f_value),), "only applies with --f-mode fixed")
         return None
     if args.f_value is not None:
         return args.f_value
@@ -281,10 +282,11 @@ def _z_score(estimate: float, analytic: float, se: float) -> float:
 
 
 def _cmd_mc(args) -> int:
-    _reject_given(
-        (("--f-mode", args.f_mode), ("--f-value", args.f_value), ("--attack", args.attack)),
-        "does not apply to mc",
+    rate_options = (
+        ("--f-mode", args.f_mode), ("--f-value", args.f_value), ("--attack", args.attack),
+        ("--delta", args.delta),
     )
+    _reject_given(rate_options, "does not apply to mc")
     if args.mode == "link":
         ir_options = (
             ("--ir-fraction", args.ir_fraction), ("--eve-m", args.eve_m), ("--bob-n", args.bob_n)
@@ -315,11 +317,9 @@ def _cmd_mc(args) -> int:
     # single-window run cannot divide by zero.
     se_p = math.sqrt(p_ref * (1.0 - p_ref) / cfg.n_pulses)
     z_p = _z_score(result.p_click_hat, p_ref, se_p)
-    if result.clicks > 0 and not math.isnan(q_ref) and 0.0 < q_ref < 1.0:
+    if result.clicks > 0 and not math.isnan(q_ref):
         se_q = math.sqrt(q_ref * (1.0 - q_ref) / result.clicks)
         z_q = _z_score(result.qber_hat, q_ref, se_q)
-    elif result.clicks > 0 and not math.isnan(q_ref):
-        z_q = _z_score(result.qber_hat, q_ref, 0.0)
     else:
         z_q = 0.0
 
@@ -355,7 +355,7 @@ def _cmd_mc(args) -> int:
             ]
         )
         _emit_csv(args.csv, [MC_CSV_HEADER, row])
-    bad = max(abs(z_p), abs(z_q) if not math.isnan(z_q) else 0.0)
+    bad = max(abs(z_p), abs(z_q))
     return 3 if bad > 5.0 else 0
 
 
@@ -402,7 +402,7 @@ def _add_source_args(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument("--n", type=int, default=None, help="interferometer delay N")
     sp.add_argument(
-        "--attack", choices=sorted(ATTACK_NAMES), default=None,
+        "--attack", choices=sorted(a.value for a in AttackModel), default=None,
         help="attack model (preset default hybrid_nomem)",
     )
     sp.add_argument("--delta", type=_finite_float, default=None,

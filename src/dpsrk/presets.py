@@ -18,7 +18,7 @@ from typing import Mapping
 from .detector import DetectorMode, DetectorSpec
 from .errors import ModelDomainError, ScenarioParseError
 from .link import LinkScenario
-from .scenario import ATTACK_NAMES, _parse_float, _parse_int, read_keys, read_text
+from .scenario import _parse_float, _parse_int, read_keys, read_text
 from .security import AttackModel
 
 PRESET_DIR_ENV = "DPSRK_PRESET_DIR"
@@ -56,9 +56,6 @@ class Preset:
         """Materialize the preset for one detector, delay and attack."""
         if detector not in self.detectors:
             raise ModelDomainError(f"preset {self.name} has no detector '{detector}'")
-        if attack not in ATTACK_NAMES:
-            raise ModelDomainError(f"unknown attack '{attack}'")
-        kind, memory = ATTACK_NAMES[attack]
         s = LinkScenario(
             mu=self.mu,
             alpha_db_per_km=self.alpha_db_per_km,
@@ -69,7 +66,7 @@ class Preset:
             delay_n=delay_n,
             dead_time_delta=delta,
         )
-        return s, AttackModel(kind=kind, eve_memory=memory)
+        return s, AttackModel(attack)
 
 
 def parse_preset(name: str, text: str) -> Preset:

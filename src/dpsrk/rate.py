@@ -20,7 +20,7 @@ from .errors import (
     NoSecureDistanceError,
 )
 from .link import LinkScenario
-from .security import CASCADE_EC_TABLE, AttackKind, AttackModel
+from .security import CASCADE_EC_TABLE, AttackModel
 
 FLAG_CLAMPED = "clamped"
 FLAG_INSECURE = "insecure"
@@ -104,7 +104,7 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
     flags: set[str] = {FLAG_CLAMPED} if clamped else set()
     tau, f_used, r, saturation = 0.0, math.nan, 0.0, 0.0
     if p_click > 0.0:
-        if a.kind is AttackKind.HYBRID_BS_IR:
+        if a.hybrid:
             gamma = security.surviving_fraction(s.mu, p_signal, s.delay_n, a.memory)
             tau = security.shrink_hybrid(e, gamma, s.delay_n)
         else:

@@ -20,16 +20,9 @@ from .detector import (
     UpConversionCurve,
     make_detector_from_upconversion,
 )
-from .errors import ScenarioParseError
+from .errors import ModelDomainError, ScenarioParseError
 from .link import LinkScenario
-from .security import AttackKind, AttackModel
-
-ATTACK_NAMES = {
-    "individual_mem": (AttackKind.INDIVIDUAL_WITH_MEMORY, True),
-    "individual_nomem": (AttackKind.INDIVIDUAL_NO_MEMORY, False),
-    "hybrid_mem": (AttackKind.HYBRID_BS_IR, True),
-    "hybrid_nomem": (AttackKind.HYBRID_BS_IR, False),
-}
+from .security import AttackModel
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,6 @@ class ScenarioFile:
         self, curve: UpConversionCurve | None, length_km: float
     ) -> tuple[LinkScenario, AttackModel]:
         """``build``, given this file's ``upconversion_curve()`` built once by the caller."""
-        kind, memory = ATTACK_NAMES[self.attack]
         scenario = LinkScenario(
             mu=self.mu,
             alpha_db_per_km=self.alpha_db_per_km,
@@ -110,7 +102,7 @@ class ScenarioFile:
             delay_n=self.delay_n,
             dead_time_delta=self.delta,
         )
-        return scenario, AttackModel(kind=kind, eve_memory=memory)
+        return scenario, AttackModel(self.attack)
 
 
 def _key(name: str) -> str:
@@ -214,19 +206,16 @@ def parse_scenario(text: str) -> ScenarioFile:
         if field.default is MISSING:
             require(key)
 
-    attack = values["attack"]
-    if attack not in ATTACK_NAMES:
-        line, col = seen["attack"][1], seen["attack"][2]
-        raise ScenarioParseError(
-            f"unknown attack '{attack}' (expected one of {', '.join(sorted(ATTACK_NAMES))})",
-            line,
-            col,
-        )
+    try:
+        AttackModel(values["attack"])
+    except ModelDomainError as exc:
+        raise ScenarioParseError(str(exc), *seen["attack"][1:]) from None
     mode = values.get("detector_mode")
-    if mode is not None and mode not in ("gated", "nongated"):
-        line, col = seen["detector.mode"][1], seen["detector.mode"][2]
+    modes = [m.value for m in DetectorMode]
+    if mode is not None and mode not in modes:
         raise ScenarioParseError(
-            f"unknown detector.mode '{mode}' (expected gated or nongated)", line, col
+            f"unknown detector.mode '{mode}' (expected {' or '.join(modes)})",
+            *seen["detector.mode"][1:],
         )
 
     curve_keys = [f"upconv.{name}" for name in _CURVE]

@@ -24,32 +24,32 @@ from .errors import (
 )
 
 
-class AttackKind(enum.Enum):
-    INDIVIDUAL_WITH_MEMORY = "individual_with_memory"
-    INDIVIDUAL_NO_MEMORY = "individual_no_memory"
-    HYBRID_BS_IR = "hybrid_bs_ir"
-
-
-@dataclass(frozen=True)
-class AttackModel:
+class AttackModel(enum.Enum):
     """Which eavesdropping strategy bounds the secure rate.
 
-    For the individual kinds the memory capability is part of the kind;
-    ``eve_memory`` selects between the two surviving-fraction formulas
-    inside the hybrid attack.  The interferometer delay N is the
+    Each member's value is its scenario-file name, so ``AttackModel(name)``
+    looks an attack up.  ``hybrid`` selects the beam-splitter +
+    intercept-resend attack over the individual attacks, and ``memory``
+    gives Eve a quantum memory.  The interferometer delay N is the
     scenario's.
     """
 
-    kind: AttackKind
-    eve_memory: bool = False
+    INDIVIDUAL_MEM = ("individual_mem", False, True)
+    INDIVIDUAL_NOMEM = ("individual_nomem", False, False)
+    HYBRID_MEM = ("hybrid_mem", True, True)
+    HYBRID_NOMEM = ("hybrid_nomem", True, False)
 
-    @property
-    def memory(self) -> bool:
-        if self.kind is AttackKind.INDIVIDUAL_WITH_MEMORY:
-            return True
-        if self.kind is AttackKind.INDIVIDUAL_NO_MEMORY:
-            return False
-        return self.eve_memory
+    def __new__(cls, name: str, hybrid: bool, memory: bool):
+        member = object.__new__(cls)
+        member._value_ = name
+        member.hybrid = hybrid
+        member.memory = memory
+        return member
+
+    @classmethod
+    def _missing_(cls, value):
+        expected = ", ".join(sorted(a.value for a in cls))
+        raise ModelDomainError(f"unknown attack '{value}' (expected one of {expected})")
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,17 @@ def _single_photon_fraction(p_click, p_m):
     return (p_click - p_m) / p_click
 
 
-def _collision_bound(e, beta, eve_memory: bool):
+def _collision_bound(e, beta, memory: bool):
     """Ratio, its turning point, log argument and prefactor of the collision bound."""
-    if eve_memory:
+    if memory:
         x = e / beta
         return x, 0.5, 0.5 + 2.0 * x - 2.0 * x * x, beta
     y = e / (1.0 + beta)
     return y, 0.25, 0.5 + 4.0 * y - 8.0 * y * y, (1.0 + beta) / 2.0
 
 
-def _surviving_fraction(mu, p_signal, delay_n: int, eve_memory: bool):
-    if eve_memory:
+def _surviving_fraction(mu, p_signal, delay_n: int, memory: bool):
+    if memory:
         return 1.0 - 2.0 * mu + 2.0 * p_signal
     return 1.0 - mu / delay_n + p_signal / delay_n
 
@@ -148,7 +148,7 @@ def single_photon_fraction(p_click: float, p_m: float) -> float:
     return _single_photon_fraction(p_click, p_m)
 
 
-def shrink_individual(e: float, beta: float, eve_memory: bool) -> float:
+def shrink_individual(e: float, beta: float, memory: bool) -> float:
     """Privacy-amplification shrinking factor against individual attacks.
 
     With quantum memory Eve stores photons and measures after the delay
@@ -166,7 +166,7 @@ def shrink_individual(e: float, beta: float, eve_memory: bool) -> float:
         raise ModelDomainError(f"single-photon fraction must be <= 1, got {beta}")
     if e < 0.0:
         raise ModelDomainError(f"error rate must be >= 0, got {e}")
-    ratio, turn, arg, scale = _collision_bound(e, beta, eve_memory)
+    ratio, turn, arg, scale = _collision_bound(e, beta, memory)
     if ratio >= turn:
         return 0.0
     return max(0.0, -scale * math.log2(arg))
@@ -184,7 +184,7 @@ def bs_transmission(detector: DetectorSpec, alpha_db_per_km: float, length_km: f
     )
 
 
-def surviving_fraction(mu: float, p_signal: float, delay_n: int, eve_memory: bool) -> float:
+def surviving_fraction(mu: float, p_signal: float, delay_n: int, memory: bool) -> float:
     """Fraction of sifted bits unknown to a beam-splitting Eve.
 
     Without memory Eve's random delay choice matches Bob's with chance 1/N,
@@ -201,7 +201,7 @@ def surviving_fraction(mu: float, p_signal: float, delay_n: int, eve_memory: boo
         raise ModelDomainError(f"p_signal must be in [0, 1], got {p_signal}")
     if delay_n < 1:
         raise ModelDomainError(f"delay_n must be >= 1, got {delay_n}")
-    return max(0.0, _surviving_fraction(mu, p_signal, delay_n, eve_memory))
+    return max(0.0, _surviving_fraction(mu, p_signal, delay_n, memory))
 
 
 def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:

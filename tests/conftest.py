@@ -2,7 +2,7 @@ import pytest
 
 from dpsrk.detector import DetectorMode, DetectorSpec
 from dpsrk.link import LinkScenario
-from dpsrk.security import AttackKind, AttackModel
+from dpsrk.security import AttackModel
 
 # Reference detector/link values used throughout the unit tests (the Si and
 # InGaAs operating points of the main rate-vs-distance parameter set).
@@ -25,10 +25,10 @@ INGAAS = DetectorSpec(
     mode=DetectorMode.GATED,
 )
 
-HYBRID_NOMEM = AttackModel(kind=AttackKind.HYBRID_BS_IR, eve_memory=False)
-HYBRID_MEM = AttackModel(kind=AttackKind.HYBRID_BS_IR, eve_memory=True)
-IND_MEM = AttackModel(kind=AttackKind.INDIVIDUAL_WITH_MEMORY)
-IND_NOMEM = AttackModel(kind=AttackKind.INDIVIDUAL_NO_MEMORY)
+HYBRID_NOMEM = AttackModel.HYBRID_NOMEM
+HYBRID_MEM = AttackModel.HYBRID_MEM
+IND_MEM = AttackModel.INDIVIDUAL_MEM
+IND_NOMEM = AttackModel.INDIVIDUAL_NOMEM
 
 
 def si_scenario(length_km=100.0, delay_n=100, **overrides) -> LinkScenario:

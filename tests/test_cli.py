@@ -5,9 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpsrk import scenario as scenario_module
-from dpsrk.cli import CSV_HEADER, _point_row, main
+from dpsrk.cli import CSV_HEADER, _point_row, build_parser, main
+from dpsrk.presets import load_presets
 from dpsrk.rate import secure_rate
 from dpsrk.scenario import KNOWN_KEYS, parse_scenario
+from dpsrk.security import AttackModel
 
 from test_scenario import BASIC, UPCONV
 
@@ -378,10 +380,10 @@ class TestMcCommand:
     @pytest.mark.parametrize(
         "option, value",
         [("--f-mode", "table"), ("--f-mode", "fixed"), ("--f-value", "1.2"),
-         ("--attack", "individual_mem")],
+         ("--attack", "individual_mem"), ("--delta", "2")],
     )
     def test_rejects_rate_options(self, capsys, option, value):
-        # mc samples clicks and errors only; f and the attack never enter it
+        # mc samples clicks and errors only; f, the attack and dead time never enter it
         rc, out, err = run(capsys, "mc", "--preset", "fig3", "--pulses", "10", option, value)
         assert rc == 1
         assert out == ""
@@ -522,6 +524,55 @@ _csv_line = st.one_of(
 )
 
 
+# A valid call of each command.  Drawn options follow it and, coming later,
+# override its values; 1000 windows keep mc cheap.
+_ARGV_BASE = {
+    "rate": ["--preset", "fig3"],
+    "sweep": ["--preset", "fig3", "--axis", "distance", "--lo", "0", "--hi", "100", "--steps", "5"],
+    "max-distance": ["--preset", "fig3"],
+    "optimize-mu": ["--preset", "fig3"],
+    "optimize-pump": [],
+    "mc": ["--preset", "fig3", "--pulses", "1000"],
+}
+# Each command's options by name.  -h/--help is left out: it exits through
+# SystemExit(0).
+_ARGV_OPTIONS = {
+    command: {
+        action.option_strings[0]: action
+        for action in build_parser()._subparsers._group_actions[0].choices[command]._actions
+        if action.option_strings and action.dest != "help"
+    }
+    for command in _ARGV_BASE
+}
+_argv_odd = st.sampled_from(
+    ["", "nan", "inf", "-inf", "a,b", "1,10", *(a.value for a in AttackModel)]
+)
+# Options whose large values cost time: the sampler's windows and the sweep's steps.
+_ARGV_COUNTS = {"--pulses": 10**4, "--steps": 200}
+
+
+def _argv_value(option: str, action) -> st.SearchStrategy[str]:
+    """Values of the option's own kind, numbers of any size and odd words."""
+    if option in _ARGV_COUNTS:
+        return st.one_of(st.integers(max_value=_ARGV_COUNTS[option]).map(str), _argv_odd)
+    if action.choices:
+        own = st.sampled_from(sorted(action.choices))
+    elif option == "--preset":
+        own = st.sampled_from(sorted(load_presets()))
+    elif action.type is int:
+        own = st.integers(-2, 1000).map(str)
+    else:
+        own = st.floats(-1.0, 200.0).map(repr)
+    return st.one_of(own, st.one_of(_number, _argv_odd))
+
+
+_ARGV_VALUES = {
+    option: _argv_value(option, action)
+    for options in _ARGV_OPTIONS.values()
+    for option, action in options.items()
+}
+
+
 _fuzz_settings = settings(
     max_examples=60, deadline=None, database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -529,7 +580,7 @@ _fuzz_settings = settings(
 
 
 class TestFuzz:
-    """Arbitrary input files end in an exit code, never in a traceback.
+    """Arbitrary input files and argument lists end in an exit code, never in a traceback.
 
     Each example writes to new file names: truncating a file that holds data
     can cost tens of milliseconds on ext4, creating one does not.
@@ -551,6 +602,35 @@ class TestFuzz:
         path.write_bytes(data)
         assert main(["plot", str(path), "--out", f"{path}.py"]) in (0, 1, 2, 3)
 
+    @_fuzz_settings
+    @given(data=st.data())
+    def test_argv(self, tmp_path, upconv_scenario_path, data):
+        command = data.draw(st.sampled_from(sorted(_ARGV_BASE)))
+        argv = [command, *_ARGV_BASE[command]]
+        paths = st.sampled_from([upconv_scenario_path, str(tmp_path / "missing.scn")])
+        # mostly the command's own options, but also those other commands own
+        options = st.one_of(
+            st.sampled_from(sorted(_ARGV_OPTIONS[command])), st.sampled_from(sorted(_ARGV_VALUES))
+        )
+        for option in data.draw(st.lists(options, max_size=4)):
+            if option == "--csv":
+                value = str(tmp_path / f"{next(self.names)}.csv")
+            elif option == "--scenario":
+                value = data.draw(paths)
+            else:
+                value = data.draw(_ARGV_VALUES[option])
+            argv += [option, value]
+        assert main(argv) in (0, 1, 2, 3), argv
+
+
+_SOURCE_COMMANDS = [
+    ["rate", "--length", "50"],
+    ["sweep", "--axis", "distance", "--lo", "0", "--hi", "10", "--steps", "3"],
+    ["max-distance"],
+    ["optimize-mu", "--length", "50"],
+    ["mc", "--pulses", "10"],
+]
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -561,16 +641,7 @@ class TestUsage:
         rc, _, _ = run(capsys, "frobnicate")
         assert rc == 1
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["rate", "--length", "50"],
-            ["sweep", "--axis", "distance", "--lo", "0", "--hi", "10", "--steps", "3"],
-            ["max-distance"],
-            ["optimize-mu", "--length", "50"],
-            ["mc", "--pulses", "10"],
-        ],
-    )
+    @pytest.mark.parametrize("command", _SOURCE_COMMANDS)
     def test_detector_with_scenario_rejected(self, capsys, basic_scenario_path, command):
         # a scenario file names its own detector
         rc, out, err = run(
@@ -579,6 +650,15 @@ class TestUsage:
         assert rc == 1
         assert out == ""
         assert "--detector only applies with --preset" in err
+
+    @pytest.mark.parametrize("f_mode", [[], ["--f-mode", "table"]])
+    @pytest.mark.parametrize("command", _SOURCE_COMMANDS[:4])
+    def test_f_value_without_fixed_mode_rejected(self, capsys, command, f_mode):
+        # the table gives f unless --f-mode fixed, so the value would go unused
+        rc, out, err = run(capsys, *command, "--preset", "fig3", *f_mode, "--f-value", "1.3")
+        assert rc == 1
+        assert out == ""
+        assert "--f-value only applies with --f-mode fixed" in err
 
 
 class TestConsoleScript:

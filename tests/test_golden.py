@@ -31,7 +31,7 @@ from dpsrk.detector import PPLN_UPCONVERTER, optimize_pump
 from dpsrk.errors import DpsrkError
 from dpsrk.presets import load_presets
 from dpsrk.rate import RatePoint, max_secure_distance, optimize_mu, secure_rate
-from dpsrk.scenario import ATTACK_NAMES
+from dpsrk.security import AttackModel
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden.csv"
 
@@ -70,7 +70,7 @@ def golden_rows() -> list[dict[str, str]]:
     for pname, preset in registry.items():
         n = preset.n_set[0]
         for det in ("si", "ingaas"):
-            for attack in ATTACK_NAMES:
+            for attack in (a.value for a in AttackModel):
                 s, a = preset.scenario(det, delay_n=n, attack=attack)
                 for length in LENGTHS_KM:
                     point = secure_rate(replace(s, length_km=length), a)

@@ -14,8 +14,7 @@ from dpsrk.detector import DetectorMode, DetectorSpec
 from dpsrk.link import LinkScenario
 from dpsrk.presets import load_presets
 from dpsrk.rate import optimize_mu, secure_rate
-from dpsrk.scenario import ATTACK_NAMES
-from dpsrk.security import poisson_multiphoton
+from dpsrk.security import AttackModel, poisson_multiphoton
 
 from conftest import HYBRID_MEM, HYBRID_NOMEM, IND_MEM, IND_NOMEM, si_scenario
 
@@ -127,7 +126,7 @@ def bits(mu, point):
 def test_optimize_mu_is_the_scalar_scan_bit_for_bit(name):
     preset = load_presets()[name]
     for detector in ("si", "ingaas"):
-        for attack in ATTACK_NAMES:
+        for attack in (a.value for a in AttackModel):
             for length in (0.0, 50.0, 150.0, 300.0):
                 s, a = preset.scenario(
                     detector, preset.n_set[0], attack=attack, length_km=length

@@ -3,7 +3,7 @@ import pytest
 from dpsrk.detector import DetectorMode, up_efficiency
 from dpsrk.errors import ScenarioParseError
 from dpsrk.scenario import ScenarioFile, parse_scenario, serialize_scenario
-from dpsrk.security import AttackKind
+from dpsrk.security import AttackModel
 
 BASIC = """\
 # basic direct-detector scenario
@@ -175,22 +175,22 @@ class TestBuild:
         assert scenario.length_km == 120.0
         assert scenario.delay_n == 100
         assert scenario.detector.efficiency == 0.35
-        assert attack.kind is AttackKind.HYBRID_BS_IR
-        assert not attack.memory
+        assert attack is AttackModel.HYBRID_NOMEM
 
     @pytest.mark.parametrize(
-        "name,kind,memory",
+        "name,hybrid,memory",
         [
-            ("individual_mem", AttackKind.INDIVIDUAL_WITH_MEMORY, True),
-            ("individual_nomem", AttackKind.INDIVIDUAL_NO_MEMORY, False),
-            ("hybrid_mem", AttackKind.HYBRID_BS_IR, True),
-            ("hybrid_nomem", AttackKind.HYBRID_BS_IR, False),
+            ("individual_mem", False, True),
+            ("individual_nomem", False, False),
+            ("hybrid_mem", True, True),
+            ("hybrid_nomem", True, False),
         ],
     )
-    def test_attack_names(self, name, kind, memory):
+    def test_attack_names(self, name, hybrid, memory):
         sf = parse_scenario(BASIC.replace("hybrid_nomem", name))
         _, attack = sf.build(0.0)
-        assert attack.kind is kind
+        assert attack is AttackModel(name)
+        assert attack.hybrid is hybrid
         assert attack.memory is memory
 
     def test_default_mode_is_gated(self):

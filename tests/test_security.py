@@ -11,7 +11,6 @@ from dpsrk.errors import (
 from dpsrk.link import channel_stats
 from dpsrk.security import (
     CASCADE_EC_TABLE,
-    AttackKind,
     AttackModel,
     ECTable,
     bs_transmission,
@@ -66,31 +65,31 @@ class TestSinglePhotonFraction:
 
 class TestShrinkIndividual:
     def test_perfect_with_memory(self):
-        assert shrink_individual(0.0, 1.0, eve_memory=True) == 1.0
+        assert shrink_individual(0.0, 1.0, memory=True) == 1.0
 
     def test_perfect_without_memory(self):
-        assert shrink_individual(0.0, 1.0, eve_memory=False) == 1.0
+        assert shrink_individual(0.0, 1.0, memory=False) == 1.0
 
     def test_known_value_with_memory(self):
         # -log2(0.5 + 0.1 - 0.005)
-        assert shrink_individual(0.05, 1.0, eve_memory=True) == pytest.approx(
+        assert shrink_individual(0.05, 1.0, memory=True) == pytest.approx(
             0.74903842646678118, rel=1e-12
         )
 
     def test_zero_at_half_error(self):
         # log argument reaches 1 exactly at e/beta = 1/2
-        assert shrink_individual(0.5, 1.0, eve_memory=True) == 0.0
+        assert shrink_individual(0.5, 1.0, memory=True) == 0.0
 
     def test_insecure_beta_rejected(self):
         with pytest.raises(InsecureChannelError):
-            shrink_individual(0.01, 0.0, eve_memory=True)
+            shrink_individual(0.01, 0.0, memory=True)
         with pytest.raises(InsecureChannelError):
-            shrink_individual(0.01, -0.2, eve_memory=False)
+            shrink_individual(0.01, -0.2, memory=False)
 
     @pytest.mark.parametrize("memory, e", [(True, 0.12), (False, 0.36)])
     def test_zero_past_turning_point(self, memory, e):
         # beta = 0.2: e/beta = 0.6 > 1/2 with memory, e/(1 + beta) = 0.3 > 1/4 without
-        assert shrink_individual(e, 0.2, eve_memory=memory) == 0.0
+        assert shrink_individual(e, 0.2, memory=memory) == 0.0
 
     @given(st.floats(min_value=0.05, max_value=1.0), st.booleans())
     def test_non_increasing_in_error(self, beta, memory):
@@ -126,13 +125,13 @@ class TestBsTransmission:
 
 class TestSurvivingFraction:
     def test_no_memory_example(self):
-        assert surviving_fraction(0.2, 0.0, 10, eve_memory=False) == 0.98
+        assert surviving_fraction(0.2, 0.0, 10, memory=False) == 0.98
 
     def test_memory_example(self):
-        assert surviving_fraction(0.2, 0.0, 1, eve_memory=True) == pytest.approx(0.6, rel=1e-15)
+        assert surviving_fraction(0.2, 0.0, 1, memory=True) == pytest.approx(0.6, rel=1e-15)
 
     def test_memory_boundary(self):
-        assert surviving_fraction(0.5, 0.0, 1, eve_memory=True) == 0.0
+        assert surviving_fraction(0.5, 0.0, 1, memory=True) == 0.0
 
     @pytest.mark.parametrize(
         "mu, p_signal, n",
@@ -140,7 +139,7 @@ class TestSurvivingFraction:
     )
     def test_rejects(self, mu, p_signal, n):
         with pytest.raises(ModelDomainError):
-            surviving_fraction(mu, p_signal, n, eve_memory=False)
+            surviving_fraction(mu, p_signal, n, memory=False)
 
     @given(
         st.floats(min_value=1e-3, max_value=1.0),
@@ -164,8 +163,8 @@ class TestSurvivingFraction:
     )
     def test_memory_never_helps(self, mu, eta_bs, n):
         ps = mu * eta_bs
-        with_memory = surviving_fraction(mu, ps, n, eve_memory=True)
-        without = surviving_fraction(mu, ps, n, eve_memory=False)
+        with_memory = surviving_fraction(mu, ps, n, memory=True)
+        without = surviving_fraction(mu, ps, n, memory=False)
         assert with_memory <= without + 1e-12
 
 
@@ -252,7 +251,21 @@ class TestIrErrorFloor:
 
 class TestAttackModel:
     def test_memory_property(self):
-        assert AttackModel(AttackKind.INDIVIDUAL_WITH_MEMORY).memory
-        assert not AttackModel(AttackKind.INDIVIDUAL_NO_MEMORY).memory
-        assert AttackModel(AttackKind.HYBRID_BS_IR, eve_memory=True).memory
-        assert not AttackModel(AttackKind.HYBRID_BS_IR, eve_memory=False).memory
+        assert AttackModel.INDIVIDUAL_MEM.memory
+        assert not AttackModel.INDIVIDUAL_NOMEM.memory
+        assert AttackModel.HYBRID_MEM.memory
+        assert not AttackModel.HYBRID_NOMEM.memory
+
+    def test_the_four_attacks(self):
+        # each name's hybrid and memory: tests/test_scenario.py::TestBuild::test_attack_names
+        assert [a.value for a in AttackModel] == [
+            "individual_mem", "individual_nomem", "hybrid_mem", "hybrid_nomem"
+        ]
+
+    def test_lookup_by_name(self):
+        assert AttackModel("hybrid_nomem") is AttackModel.HYBRID_NOMEM
+
+    @pytest.mark.parametrize("name", ["collective", "", "HYBRID_NOMEM", None])
+    def test_unknown_name(self, name):
+        with pytest.raises(ModelDomainError, match="unknown attack"):
+            AttackModel(name)

@@ -69,6 +69,8 @@ INDIVIDUAL_LAYERS = (
         (IND_MEM, INDIVIDUAL_LAYERS, HYBRID_LAYERS),
         (IND_NOMEM, INDIVIDUAL_LAYERS, HYBRID_LAYERS),
     ],
+    # positional ids, as for the other parameters, rather than the enum members' names
+    ids=[f"attack{i}-layers{i}-others{i}" for i in range(3)],
 )
 def test_traced_secure_rate_sees_each_layer_once(attack, layers, others):
     # mu = 0.01 at 10 km leaves a positive single-photon fraction, so the
