@@ -18,6 +18,7 @@ from pathlib import Path
 from . import rate
 from .detector import (
     PPLN_UPCONVERTER,
+    SUPPORTED_PUMP_MAX_MW,
     DarkConvention,
     UpConversionCurve,
     dark_per_window,
@@ -28,10 +29,10 @@ from .detector import (
 from .errors import DpsrkError, NoSecureDistanceError
 from .link import LinkScenario
 from .plotscript import render_plot_script
-from .presets import load_presets
+from .presets import DETECTOR_VARIANTS, load_presets
 from .rate import RatePoint
 from .scenario import parse_scenario, read_text
-from .security import AttackModel
+from .security import CASCADE_EC_TABLE, AttackModel
 
 CSV_HEADER = (
     "L_km,p_signal,p_dark,p_click,qber,tau,f,"
@@ -122,7 +123,7 @@ def _f_fixed(args, caption_f: float | None) -> float | None:
         return None
     if args.f_value is not None:
         return args.f_value
-    return caption_f if caption_f is not None else 1.16
+    return caption_f if caption_f is not None else CASCADE_EC_TABLE.points[0][1]
 
 
 def _fmt(value: float) -> str:
@@ -198,9 +199,12 @@ def _cmd_sweep(args) -> int:
     if not args.lo < args.hi:
         raise UsageError("--lo must be < --hi")
     values = [args.lo + (args.hi - args.lo) * i / (args.steps - 1) for i in range(args.steps)]
-    base, attack, curve, caption_f = _load_source(
-        args, values[0] if args.axis == "distance" else args.length, args.axis == "pump"
-    )
+    if args.axis == "distance":
+        _reject_given((("--length", args.length),), "only applies with --axis mu or pump")
+        length = values[0]
+    else:
+        length = 0.0 if args.length is None else args.length
+    base, attack, curve, caption_f = _load_source(args, length, args.axis == "pump")
     f_fixed = _f_fixed(args, caption_f)
     lines = [CSV_HEADER]
     for value in values:
@@ -397,7 +401,7 @@ def _add_source_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--scenario", metavar="PATH", help="scenario file path")
     sp.add_argument("--preset", metavar="NAME", help="preset name (see 'presets list')")
     sp.add_argument(
-        "--detector", choices=("si", "ingaas"), default=None,
+        "--detector", choices=DETECTOR_VARIANTS, default=None,
         help="detector variant for presets (default si)",
     )
     sp.add_argument("--n", type=int, default=None, help="interferometer delay N")
@@ -406,7 +410,7 @@ def _add_source_args(sp: argparse.ArgumentParser) -> None:
         help="attack model (preset default hybrid_nomem)",
     )
     sp.add_argument("--delta", type=_finite_float, default=None,
-                    help="dead-time exponent scale (default 1/n_detectors)")
+                    help="dead-time exponent scale (default 1/2, half the clicks per detector)")
     # default None, read as "table", so that mc can tell a given --f-mode
     sp.add_argument("--f-mode", choices=("table", "fixed"), default=None,
                     help="error-correction overhead: table interpolation or fixed value")
@@ -430,7 +434,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--lo", type=_finite_float, required=True)
     sp.add_argument("--hi", type=_finite_float, required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--length", type=_finite_float, default=0.0,
+    sp.add_argument("--length", type=_finite_float, default=None,
                     help="fixed link length for mu/pump sweeps")
     sp.add_argument("--csv", metavar="PATH", help="output path (default stdout)")
     sp.set_defaults(func=_cmd_sweep)
@@ -452,7 +456,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--scenario", metavar="PATH",
                     help="scenario file with an upconv block (default: built-in fit)")
     sp.add_argument("--lo", type=_finite_float, default=0.0)
-    sp.add_argument("--hi", type=_finite_float, default=30.0)
+    sp.add_argument("--hi", type=_finite_float, default=SUPPORTED_PUMP_MAX_MW)
     sp.set_defaults(func=_cmd_optimize_pump)
 
     sp = sub.add_parser("mc", help="Monte Carlo validation of the analytic model")

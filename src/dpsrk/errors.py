@@ -13,10 +13,6 @@ class ModelRangeError(DpsrkError, ValueError):
     """A fitted model produced a value outside its physically valid range."""
 
 
-class InvalidRegimeError(DpsrkError, ValueError):
-    """Parameters describe a regime the probability model cannot represent."""
-
-
 class UndefinedQBERError(DpsrkError, ValueError):
     """QBER is undefined because the click probability is zero."""
 

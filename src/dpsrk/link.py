@@ -2,9 +2,9 @@
 
 Per measurement window (one clock period 1/nu) Bob sees a signal click with
 probability ``mu * eta * 10^-(alpha L + L_r)/10`` and a dark click with
-probability ``n_detectors * d``.  Dark counts land on a random detector, so
-they contribute errors at rate 1/2 while signal clicks err at the baseline
-system rate ``b``.
+probability ``2 d`` from the two detectors at the delay interferometer's
+outputs.  Dark counts land on a random detector, so they contribute errors at
+rate 1/2 while signal clicks err at the baseline system rate ``b``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .detector import DetectorSpec
-from .errors import InvalidRegimeError, ModelDomainError
+from .errors import ModelDomainError
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,8 @@ class LinkScenario:
         baseline_error: Baseline system error rate b in [0, 0.5).
         detector: Bob's detector parameters.
         delay_n: Interferometer delay in clock periods (N).
-        n_detectors: Number of detectors in Bob's receiver (dark counts add).
         dead_time_delta: Saturation exponent scale delta.  ``None`` selects
-            1/n_detectors, i.e. each detector handles its share of clicks.
+            1/2, i.e. each of Bob's two detectors handles half the clicks.
     """
 
     mu: float
@@ -41,7 +40,6 @@ class LinkScenario:
     baseline_error: float
     detector: DetectorSpec
     delay_n: int
-    n_detectors: int = 2
     dead_time_delta: float | None = None
 
     def __post_init__(self):
@@ -60,10 +58,6 @@ class LinkScenario:
             )
         if not 1 <= self.delay_n < math.inf or int(self.delay_n) != self.delay_n:
             raise ModelDomainError(f"delay_n must be an integer >= 1, got {self.delay_n}")
-        if not 1 <= self.n_detectors < math.inf or int(self.n_detectors) != self.n_detectors:
-            raise ModelDomainError(
-                f"n_detectors must be an integer >= 1, got {self.n_detectors}"
-            )
         if self.dead_time_delta is not None and not 0.0 <= self.dead_time_delta < math.inf:
             raise ModelDomainError(
                 f"dead_time_delta must be finite and >= 0, got {self.dead_time_delta}"
@@ -73,7 +67,7 @@ class LinkScenario:
     def effective_dead_time_delta(self) -> float:
         if self.dead_time_delta is not None:
             return self.dead_time_delta
-        return 1.0 / self.n_detectors
+        return 0.5
 
 
 class ChannelStats(NamedTuple):
@@ -99,12 +93,8 @@ def _click_terms(s: LinkScenario, mu):
     raw_signal = mu * s.detector.efficiency * 10.0 ** (
         -(s.alpha_db_per_km * s.length_km + s.detector.receiver_loss_db) / 10.0
     )
-    dark = s.n_detectors * s.detector.dark_per_window
-    if dark >= 1.0:
-        raise InvalidRegimeError(
-            f"total dark probability {dark} >= 1 "
-            f"({s.n_detectors} detectors at d={s.detector.dark_per_window})"
-        )
+    # DetectorSpec keeps d in [0, 0.5) and doubling is exact, so 2d < 1
+    dark = 2.0 * s.detector.dark_per_window
     return raw_signal, dark, raw_signal + dark, 0.5 * dark + s.baseline_error * raw_signal
 
 

@@ -87,6 +87,10 @@ def parse_preset(name: str, text: str) -> Preset:
         )
     n_set_text, line, col = fetch("n_set")
     n_set = tuple(_parse_int("n_set", tok, line, col) for tok in n_set_text.split(","))
+    if min(n_set) < 1:
+        raise ScenarioParseError(
+            f"n_set entries must be >= 1 in preset {name}, got {n_set_text}", line, col
+        )
     detectors = {}
     for variant in DETECTOR_VARIANTS:
         params = {key: fetch_float(f"{variant}.{key}") for key in _DETECTOR_KEYS}
@@ -98,7 +102,7 @@ def parse_preset(name: str, text: str) -> Preset:
             receiver_loss_db=params["receiver_loss_db"],
             mode=DetectorMode.NONGATED if variant == "si" else DetectorMode.GATED,
         )
-    return Preset(
+    preset = Preset(
         name=name,
         baseline_error=floats["b"],
         mu=floats["mu"],
@@ -108,6 +112,11 @@ def parse_preset(name: str, text: str) -> Preset:
         n_set=n_set,
         detectors=detectors,
     )
+    try:  # LinkScenario's own checks reject an out-of-range mu, b, nu_hz or alpha
+        preset.scenario()
+    except ModelDomainError as exc:
+        raise ScenarioParseError(f"preset {name}: {exc}") from None
+    return preset
 
 
 def _natural_key(name: str):
@@ -121,9 +130,9 @@ def preset_directory() -> Path:
     return Path(resources.files("dpsrk") / "presets")
 
 
-def load_presets(directory: str | os.PathLike | None = None) -> dict[str, Preset]:
+def load_presets() -> dict[str, Preset]:
     """Load every ``*.preset`` file from the preset directory, sorted by name."""
-    root = Path(directory) if directory is not None else preset_directory()
+    root = preset_directory()
     registry: dict[str, Preset] = {}
     for path in sorted(root.glob("*.preset"), key=lambda p: _natural_key(p.stem)):
         registry[path.stem] = parse_preset(path.stem, read_text(path))

@@ -191,6 +191,16 @@ class TestSweepCommand:
         )
         assert rc == 1
 
+    def test_length_on_distance_axis_exits_one(self, capsys):
+        # a distance sweep sets the length of every row itself
+        rc, out, err = run(
+            capsys, "sweep", "--preset", "fig3", "--axis", "distance",
+            "--lo", "0", "--hi", "10", "--steps", "3", "--length", "77",
+        )
+        assert rc == 1
+        assert out == ""
+        assert err == "error: --length only applies with --axis mu or pump\n"
+
     def test_pump_sweep_without_curve_exits_one(self, capsys):
         rc, _, err = run(
             capsys, "sweep", "--preset", "fig3", "--axis", "pump",
@@ -209,9 +219,10 @@ class TestSweepCommand:
     )
     def test_upconv_sweep_matches_library(self, capsys, upconv_scenario_path, axis, lo, hi, field):
         # each row is the file's scenario rebuilt at that step and rated
+        length = [] if axis == "distance" else ["--length", "40"]
         rc, out, _ = run(
             capsys, "sweep", "--scenario", upconv_scenario_path, "--axis", axis,
-            "--lo", repr(lo), "--hi", repr(hi), "--steps", "13", "--length", "40",
+            "--lo", repr(lo), "--hi", repr(hi), "--steps", "13", *length,
         )
         assert rc == 0
         sf = parse_scenario(UPCONV)
@@ -238,11 +249,12 @@ class TestSweepCommand:
 
         monkeypatch.setattr(scenario_module, "UpConversionCurve", counting)
         counts = []
+        length = [] if axis == "distance" else ["--length", "40"]
         for steps in ("3", "40"):
             built.clear()
             rc, _, _ = run(
                 capsys, "sweep", "--scenario", upconv_scenario_path, "--axis", axis,
-                "--lo", "0.1", "--hi", "0.9", "--steps", steps, "--length", "40",
+                "--lo", "0.1", "--hi", "0.9", "--steps", steps, *length,
             )
             assert rc == 0
             counts.append(len(built))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpsrk.detector import DetectorMode, DetectorSpec
-from dpsrk.errors import InvalidRegimeError, ModelDomainError
+from dpsrk.errors import ModelDomainError
 from dpsrk.link import ChannelStats, channel_stats
 
 from conftest import INGAAS, si_scenario
@@ -50,10 +50,11 @@ class TestPDark:
     def test_zero(self):
         assert channel_stats(si_scenario(detector=toy_detector())).p_dark == 0.0
 
-    def test_invalid_regime(self):
-        s = si_scenario(detector=toy_detector(dark=0.4), n_detectors=3)
-        with pytest.raises(InvalidRegimeError):
-            channel_stats(s)
+    def test_largest_dark_count_stays_below_one(self):
+        # DetectorSpec keeps d below 1/2 and doubling is exact, so 2d < 1
+        d = math.nextafter(0.5, 0.0)
+        p_dark = channel_stats(si_scenario(detector=toy_detector(dark=d))).p_dark
+        assert p_dark == 2.0 * d < 1.0
 
 
 class TestPClick:
@@ -135,7 +136,6 @@ class TestScenarioValidation:
             {"baseline_error": 0.5},
             {"baseline_error": -0.01},
             {"delay_n": 0},
-            {"n_detectors": 0},
             {"dead_time_delta": -1.0},
             {"mu": math.inf},
             {"alpha_db_per_km": math.nan},
@@ -152,7 +152,6 @@ class TestScenarioValidation:
 
     def test_default_delta_is_inverse_detector_count(self):
         assert si_scenario().effective_dead_time_delta == 0.5
-        assert si_scenario(n_detectors=4).effective_dead_time_delta == 0.25
         assert si_scenario(dead_time_delta=1.0).effective_dead_time_delta == 1.0
 
     def test_replace_for_sweeps(self):

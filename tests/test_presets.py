@@ -154,6 +154,7 @@ class TestPresetParsing:
             ("n_set = 1,10,100", "n_set = 1,a,100"),
             ("si.dead_time_s = 45e-9", "si.dead_time_s = inf"),
             ("f = 1.16", "f = 0.5"),
+            ("n_set = 1,10,100", "n_set = 0,-3"),
         ],
     )
     def test_bad_number_reports_line_and_column(self, old, new):
@@ -165,3 +166,20 @@ class TestPresetParsing:
             parse_preset("fig3", text.replace(old, new))
         # the column of the value's first character, just after "= "
         assert (info.value.line, info.value.column) == (line, new.index("= ") + 3)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("mu = 0.2", "mu = -0.2"),
+            ("b = 0.01", "b = 0.5"),
+            ("nu_hz = 1e9", "nu_hz = 0"),
+            ("alpha_db_per_km = 0.21", "alpha_db_per_km = -0.21"),
+        ],
+    )
+    def test_out_of_range_value_rejected_at_load(self, old, new):
+        from dpsrk.errors import ScenarioParseError
+
+        text = (preset_directory() / "fig3.preset").read_text()
+        assert old in text.splitlines()
+        with pytest.raises(ScenarioParseError, match="preset fig3: "):
+            parse_preset("fig3", text.replace(old, new))
