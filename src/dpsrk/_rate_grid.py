@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import link, security
+from ._search import first_min_candidates
 from .link import LinkScenario
 from .rate import _dead_time_exponent, _entropy
 from .security import CASCADE_EC_TABLE, AttackModel
@@ -74,8 +75,5 @@ def candidates(
     # the same floats, in the same arithmetic, as grid_bracket's points
     mus = lo + (hi - lo) * np.arange(n + 1) / n
     rates, sifted = grid_rates(s, a, mus, f_fixed)
-    slack = _SLACK * sifted
-    # A point whose best case is below another's worst case cannot win.
-    worst = max(0.0, float(np.max(rates - slack)))
-    best = rates + slack
-    return np.flatnonzero((best >= worst) & (best > 0.0)).tolist()
+    # the scalar scan minimizes the rate clamped at 0, so only a positive rate can win
+    return first_min_candidates(-rates, _SLACK * sifted, ceiling=0.0)

@@ -3,7 +3,9 @@
 The optimizers scan a coarse grid first because their objectives are not
 unimodal over a wide range (the NEP has one minimum per efficiency fringe;
 the secure rate can bend once dead time matters), then refine the bracket
-around the best grid point.
+around the best grid point.  Both score their grid in one numpy pass first
+and hand ``grid_bracket`` only the points ``first_min_candidates`` keeps, so
+the scalar objective scores a handful of grid points instead of all of them.
 """
 
 from __future__ import annotations
@@ -37,6 +39,21 @@ def grid_bracket(
     a = lo + (hi - lo) * max(best_i - 1, 0) / n
     b = lo + (hi - lo) * min(best_i + 1, n) / n
     return a, b, best
+
+
+def first_min_candidates(values, slack, ceiling: float = math.inf) -> list[int]:
+    """Indices, increasing, of the grid points that may hold the first minimum.
+
+    ``values`` is a numpy array of the grid's objective values, each within
+    ``slack`` (an array or a scalar) of what the scalar objective returns.
+    A point whose best case lies above another's worst case cannot win, nor
+    can one whose best case is not below ``ceiling``.  A NaN value is never
+    kept.  Passed to ``grid_bracket``, the kept indices give the bracket and
+    minimum of a scan of every point.
+    """
+    worst = min(ceiling, float((values + slack).min()))
+    low = values - slack
+    return ((low <= worst) & (low < ceiling)).nonzero()[0].tolist()
 
 
 def golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:

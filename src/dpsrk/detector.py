@@ -15,13 +15,20 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._search import golden_min, grid_bracket
+from ._search import first_min_candidates, golden_min, grid_bracket
 from .errors import ModelDomainError, ModelRangeError, NoFeasiblePointError
 
 # Pump powers (mW) the fitted curves are trusted on.  The quartic dark-rate
 # fit turns unphysical far outside the measured region, so evaluation beyond
 # this domain is an error rather than an extrapolation.
 SUPPORTED_PUMP_MAX_MW = 30.0
+
+# Steps of optimize_pump's pump grid, which has one point more.
+_PUMP_GRID_STEPS = 2048
+
+# How far, relative to itself, the scalar NEP may lie from _nep_grid's.  They
+# differ only by the rounding of numpy's sin; the tests hold them to 1e-12.
+_NEP_SLACK = 1e-9
 
 
 class DetectorMode(enum.Enum):
@@ -100,15 +107,23 @@ class UpConversionCurve:
         # domain; sample densely once at construction.
         for i in range(3001):
             p = SUPPORTED_PUMP_MAX_MW * i / 3000
-            if self._dark_poly(p) < 0.0:
+            if _dark_poly(self, p) < 0.0:
                 raise ModelRangeError(
                     f"dark-rate polynomial is negative at pump {p:.4f} mW"
                 )
 
-    def _dark_poly(self, pump_mw: float) -> float:
-        return self.b0 + pump_mw * (
-            self.b1 + pump_mw * (self.b2 + pump_mw * (self.b3 + pump_mw * self.b4))
-        )
+
+def _efficiency(curve: UpConversionCurve, pump_mw, sin=math.sin, sqrt=math.sqrt):
+    """Body of ``a1 sin^2(sqrt(a2 p))``; ``pump_mw`` may be an array with numpy's sin and sqrt."""
+    s = sin(sqrt(curve.a2 * pump_mw))
+    return curve.a1 * s * s
+
+
+def _dark_poly(curve: UpConversionCurve, pump_mw):
+    """The quartic dark-rate fit at ``pump_mw``, which may be an array."""
+    return curve.b0 + pump_mw * (
+        curve.b1 + pump_mw * (curve.b2 + pump_mw * (curve.b3 + pump_mw * curve.b4))
+    )
 
 
 #: Fitted curve for a PPLN waveguide up-converter pumped at 1320 nm with a
@@ -156,14 +171,13 @@ def _check_pump(pump_mw: float) -> None:
 def up_efficiency(curve: UpConversionCurve, pump_mw: float) -> float:
     """Conversion efficiency ``a1 * sin^2(sqrt(a2 * p))`` at pump ``p`` mW."""
     _check_pump(pump_mw)
-    s = math.sin(math.sqrt(curve.a2 * pump_mw))
-    return curve.a1 * s * s
+    return _efficiency(curve, pump_mw)
 
 
 def up_dark_rate(curve: UpConversionCurve, pump_mw: float) -> float:
     """Dark-count rate in 1/s at pump ``p`` mW (quartic fit)."""
     _check_pump(pump_mw)
-    rate = curve._dark_poly(pump_mw)
+    rate = _dark_poly(curve, pump_mw)
     if rate < 0.0:
         raise ModelRangeError(
             f"dark-rate fit is negative ({rate}) at pump {pump_mw} mW"
@@ -196,7 +210,27 @@ def nep(dark_rate_hz: float, efficiency: float) -> float:
         raise ModelDomainError(f"efficiency must be > 0, got {efficiency}")
     if dark_rate_hz < 0.0:
         raise ModelDomainError(f"dark rate must be >= 0, got {dark_rate_hz}")
-    return math.sqrt(2.0 * dark_rate_hz) / efficiency
+    return _nep(dark_rate_hz, efficiency)
+
+
+def _nep(dark_rate_hz, efficiency, sqrt=math.sqrt):
+    """Body of ``sqrt(2 D) / eta``; the arguments may be arrays with numpy's sqrt."""
+    return sqrt(2.0 * dark_rate_hz) / efficiency
+
+
+def _nep_grid(curve: UpConversionCurve, pumps):
+    """The NEP at each pump of the numpy array ``pumps``, as one array pass.
+
+    Where the scalar objective of ``optimize_pump`` scores a pump, this is its
+    value up to numpy's rounding: inf where the efficiency is 0, and NaN
+    where the dark-rate fit is negative.
+    """
+    import numpy as np
+
+    eta = _efficiency(curve, pumps, np.sin, np.sqrt)
+    # x/0 and 0/0 where the efficiency is 0; the root of a negative dark rate is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(eta > 0.0, _nep(_dark_poly(curve, pumps), eta, np.sqrt), np.inf)
 
 
 def optimize_pump(
@@ -205,11 +239,19 @@ def optimize_pump(
     """Find the pump power minimizing the NEP over ``pump_range``.
 
     The NEP has one local minimum per efficiency fringe, so a coarse grid
-    scan first brackets the global minimum and a golden-section search then
-    refines the bracket to below 1e-6 mW.  Ties break toward smaller pump.
+    scan of 2049 points first brackets the global minimum and a
+    golden-section search then refines the bracket to below 1e-6 mW.  Ties
+    break toward smaller pump.
+
+    The grid is screened in one numpy pass; the scalar objective then
+    re-scores the points that may hold its minimum, so the bracket and p*
+    are those of a scalar scan.  Where the pass finds a negative dark rate,
+    the scalar objective scans the whole grid as the screen's fallback.
 
     Raises:
         NoFeasiblePointError: If the efficiency is zero over the whole range.
+        ModelRangeError: If the dark-rate fit is negative at a pump the
+            search scores.
     """
     lo, hi = pump_range
     if lo > hi:
@@ -230,7 +272,17 @@ def optimize_pump(
             )
         return PumpOperatingPoint(lo, up_efficiency(curve, lo), up_dark_rate(curve, lo))
 
-    a, b, best = grid_bracket(objective, lo, hi, 2048)
+    import numpy as np  # the grid screen; importing this module loads no numpy
+
+    n = _PUMP_GRID_STEPS
+    # the same floats, in the same arithmetic, as grid_bracket's points
+    neps = _nep_grid(curve, lo + (hi - lo) * np.arange(n + 1) / n)
+    indices = None  # a NaN (negative dark rate) leaves the scan to raise as it always has
+    if not np.isnan(neps).any():
+        # inf - inf at a zero-efficiency point is NaN, which is never kept
+        with np.errstate(invalid="ignore"):
+            indices = first_min_candidates(neps, _NEP_SLACK * neps)
+    a, b, best = grid_bracket(objective, lo, hi, n, indices)
     if not math.isfinite(best):
         raise NoFeasiblePointError(
             f"efficiency is zero over the whole pump range [{lo}, {hi}]"

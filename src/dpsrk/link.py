@@ -70,6 +70,19 @@ class LinkScenario:
         return 0.5
 
 
+def _trial_scenario(s: LinkScenario, mu: float, length_km: float) -> LinkScenario:
+    """``dataclasses.replace(s, mu=mu, length_km=length_km)``, for the solvers' trial points.
+
+    The positional constructor costs under half of ``replace``'s generic
+    field loop; ``__post_init__`` still checks the result.  It must pass
+    every field in order, which ``tests/test_link.py`` pins.
+    """
+    return LinkScenario(
+        mu, s.alpha_db_per_km, length_km, s.clock_hz, s.baseline_error, s.detector,
+        s.delay_n, s.dead_time_delta,
+    )
+
+
 class ChannelStats(NamedTuple):
     """Click probabilities and QBER of one scenario, as an immutable named tuple.
 

@@ -26,7 +26,13 @@ PRESET_DIR_ENV = "DPSRK_PRESET_DIR"
 DETECTOR_VARIANTS = ("si", "ingaas")
 
 _PRESET_FLOAT_KEYS = ("b", "mu", "f", "nu_hz", "alpha_db_per_km")
-_DETECTOR_KEYS = ("efficiency", "dark_per_window", "receiver_loss_db", "dead_time_s")
+# Each detector key of a preset, after "si." or "ingaas.", and its DetectorSpec field.
+_DETECTOR_KEYS = {
+    "efficiency": "efficiency",
+    "dark_per_window": "dark_per_window",
+    "receiver_loss_db": "receiver_loss_db",
+    "dead_time_s": "dead_time",
+}
 _KNOWN_KEYS = {*_PRESET_FLOAT_KEYS, "n_set"} | {
     f"{v}.{k}" for v in DETECTOR_VARIANTS for k in _DETECTOR_KEYS
 }
@@ -93,15 +99,20 @@ def parse_preset(name: str, text: str) -> Preset:
         )
     detectors = {}
     for variant in DETECTOR_VARIANTS:
-        params = {key: fetch_float(f"{variant}.{key}") for key in _DETECTOR_KEYS}
-        detectors[variant] = DetectorSpec(
-            name=variant,
-            efficiency=params["efficiency"],
-            dark_per_window=params["dark_per_window"],
-            dead_time=params["dead_time_s"],
-            receiver_loss_db=params["receiver_loss_db"],
-            mode=DetectorMode.NONGATED if variant == "si" else DetectorMode.GATED,
-        )
+        params = {field: fetch_float(f"{variant}.{key}") for key, field in _DETECTOR_KEYS.items()}
+        mode = DetectorMode.NONGATED if variant == "si" else DetectorMode.GATED
+        try:
+            detectors[variant] = DetectorSpec(name=variant, mode=mode, **params)
+        except ModelDomainError as exc:
+            # DetectorSpec's message starts with the field it rejects
+            message = str(exc)
+            key, field = next(
+                (k, f) for k, f in _DETECTOR_KEYS.items() if message.startswith(f"{f} ")
+            )
+            raise ScenarioParseError(
+                f"preset {name}: {variant}.{key}{message[len(field):]}",
+                *seen[f"{variant}.{key}"][1:],
+            ) from None
     preset = Preset(
         name=name,
         baseline_error=floats["b"],

@@ -9,7 +9,6 @@ information through the shrinking factor tau and the error-correction cost
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 from . import link, security
@@ -19,7 +18,7 @@ from .errors import (
     ModelDomainError,
     NoSecureDistanceError,
 )
-from .link import LinkScenario
+from .link import LinkScenario, _trial_scenario
 from .security import CASCADE_EC_TABLE, AttackModel
 
 FLAG_CLAMPED = "clamped"
@@ -182,7 +181,7 @@ def optimize_mu(
     from ._rate_grid import candidates  # loads numpy
 
     def point(mu: float) -> RatePoint:
-        return secure_rate(replace(s, mu=mu), a, f_fixed=f_fixed)
+        return secure_rate(_trial_scenario(s, mu, s.length_km), a, f_fixed=f_fixed)
 
     def loss(mu: float) -> float:
         return -point(mu).secure_rate_deadtime_hz
@@ -221,7 +220,7 @@ def max_secure_distance(
         raise ModelDomainError(f"r_min must be >= 0, got {r_min}")
 
     def point(length: float) -> RatePoint:
-        return secure_rate(replace(s, length_km=length), a, f_fixed=f_fixed)
+        return secure_rate(_trial_scenario(s, s.mu, length), a, f_fixed=f_fixed)
 
     def above(length: float) -> bool:
         return point(length).secure_rate_deadtime_hz > r_min

@@ -699,8 +699,9 @@ class TestConsoleScript:
         )
         assert proc.returncode == 2
 
-    def test_numpy_loaded_only_by_sampler_and_mu_grid(self):
-        # only `mc` and `optimize-mu` need numpy; the other commands start without it
+    def test_numpy_loaded_only_by_sampler_and_mu_grid(self, upconv_scenario_path):
+        # only `mc` and the grid screens of `optimize-mu` and `optimize-pump`
+        # need numpy; the other commands start without it
         import subprocess
         import sys
 
@@ -710,6 +711,10 @@ class TestConsoleScript:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    main(['rate', '--preset', 'fig3'])\n"
             "    main(['max-distance', '--preset', 'fig3'])\n"
+            "    assert main(['sweep', '--preset', 'fig3', '--axis', 'distance',\n"
+            "                 '--lo', '0', '--hi', '100', '--steps', '5']) == 0\n"
+            f"    assert main(['sweep', '--scenario', {upconv_scenario_path!r}, '--axis', 'pump',\n"
+            "                 '--lo', '0', '--hi', '1', '--steps', '5', '--length', '25']) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
             "import dpsrk\n"
             "assert not hasattr(dpsrk, 'no_such_name')\n"

@@ -1,9 +1,13 @@
 import math
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from dpsrk import detector
+from dpsrk._search import golden_min, grid_bracket
 from dpsrk.detector import (
     PPLN_UPCONVERTER,
     SUPPORTED_PUMP_MAX_MW,
@@ -11,6 +15,7 @@ from dpsrk.detector import (
     DetectorMode,
     DetectorSpec,
     UpConversionCurve,
+    _nep_grid,
     dark_per_window,
     make_detector_from_upconversion,
     nep,
@@ -166,7 +171,10 @@ class TestOptimizePump:
         dead = UpConversionCurve(
             a1=0.465, a2=0.0, b0=50.0, b1=0.0, b2=0.0, b3=0.0, b4=0.0, bandwidth_hz=50e9
         )
-        with pytest.raises(NoFeasiblePointError):
+        # the error of the scan without the numpy screen
+        with pytest.raises(NoFeasiblePointError) as want:
+            scalar_optimize_pump(dead, (0.0, 1.0))
+        with pytest.raises(NoFeasiblePointError, match=f"^{re.escape(str(want.value))}$"):
             optimize_pump(dead, (0.0, 1.0))
 
     def test_inverted_range_rejected(self):
@@ -174,6 +182,89 @@ class TestOptimizePump:
         for pump_range in ((0.5, 0.1), (math.nan, 1.0), (0.0, math.nan)):
             with pytest.raises(ModelDomainError):
                 optimize_pump(CURVE, pump_range)
+
+
+def scalar_optimize_pump(curve, pump_range):
+    """optimize_pump's scan of its 2049-point grid without the numpy screen."""
+    lo, hi = pump_range
+
+    def objective(p):
+        eta = up_efficiency(curve, p)
+        return math.inf if eta <= 0.0 else nep(up_dark_rate(curve, p), eta)
+
+    a, b, best = grid_bracket(objective, lo, hi, 2048)
+    if not math.isfinite(best):
+        raise NoFeasiblePointError(f"efficiency is zero over the whole pump range [{lo}, {hi}]")
+    p_star = golden_min(objective, a, b, 1e-6)
+    return p_star, up_efficiency(curve, p_star), up_dark_rate(curve, p_star)
+
+
+def scaled_curve(a1, a2_scale, dark_scale, flat):
+    """The PPLN fit with another peak, fringe spacing and dark-rate scale."""
+    b = [dark_scale * CURVE.b0] + [0.0 if flat else dark_scale * x
+                                   for x in (CURVE.b1, CURVE.b2, CURVE.b3, CURVE.b4)]
+    return UpConversionCurve(a1, a2_scale * CURVE.a2, *b, CURVE.bandwidth_hz)
+
+
+curves = st.builds(
+    scaled_curve,
+    a1=st.floats(0.05, 1.0),
+    a2_scale=st.floats(0.25, 4.0),
+    dark_scale=st.floats(1e-3, 1e3),
+    flat=st.booleans(),
+)
+pumps = st.floats(0.0, SUPPORTED_PUMP_MAX_MW)
+
+# a quartic that dips below 0 between two of the 3001 pumps UpConversionCurve
+# checks: (p - 0.005)^2 - 1e-5 is negative within 0.0032 mW of 0.005 mW
+DIP = UpConversionCurve(
+    a1=0.465, a2=79.75, b0=1.5e-5, b1=-0.01, b2=1.0, b3=0.0, b4=0.0, bandwidth_hz=50e9
+)
+
+
+class TestPumpGridScreen:
+    @settings(max_examples=200, deadline=None)
+    @given(curve=curves, ends=st.tuples(pumps, pumps))
+    @example(curve=CURVE, ends=(0.0, SUPPORTED_PUMP_MAX_MW))
+    @example(curve=scaled_curve(0.465, 1.0, 1.0, True), ends=(0.001, 0.1))
+    def test_optimize_pump_is_the_scalar_scan_bit_for_bit(self, curve, ends):
+        lo, hi = sorted(ends)
+        assume(hi - lo >= 1e-12)
+        assert repr(tuple(optimize_pump(curve, (lo, hi)))) == repr(
+            scalar_optimize_pump(curve, (lo, hi))
+        )
+
+    @settings(deadline=None)
+    @given(curve=curves, points=st.lists(pumps, min_size=1, max_size=64))
+    @example(curve=CURVE, points=[0.0, 5e-324, FIRST_MAX_PUMP, 4 * FIRST_MAX_PUMP, 30.0])
+    def test_array_nep_agrees_with_scalar_objective(self, curve, points):
+        for p, got in zip(points, _nep_grid(curve, np.array(points)).tolist()):
+            eta = up_efficiency(curve, p)
+            if eta <= 0.0:
+                assert got == math.inf
+            else:
+                # both overflow to inf where the efficiency is subnormal
+                assert math.isclose(got, nep(up_dark_rate(curve, p), eta), rel_tol=1e-12)
+
+    def test_scalar_objective_scores_only_the_bracket(self, monkeypatch):
+        calls = []
+        original = detector.up_efficiency
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(detector, "up_efficiency", counting)
+        optimize_pump(CURVE, (0.0, SUPPORTED_PUMP_MAX_MW))
+        # a few re-scored grid points, the golden-section search and the result
+        assert len(calls) <= 40
+
+    def test_negative_dark_rate_raises_as_the_scalar_scan(self):
+        assert math.isnan(_nep_grid(DIP, np.array([0.005]))[0])
+        with pytest.raises(ModelRangeError) as want:
+            scalar_optimize_pump(DIP, (0.0, 0.01))
+        with pytest.raises(ModelRangeError, match=f"^{re.escape(str(want.value))}$"):
+            optimize_pump(DIP, (0.0, 0.01))
 
 
 class TestMakeDetector:

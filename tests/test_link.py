@@ -1,14 +1,14 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dpsrk.detector import DetectorMode, DetectorSpec
 from dpsrk.errors import ModelDomainError
-from dpsrk.link import ChannelStats, channel_stats
+from dpsrk.link import ChannelStats, LinkScenario, _trial_scenario, channel_stats
 
-from conftest import INGAAS, si_scenario
+from conftest import INGAAS, SI, si_scenario
 
 
 def toy_detector(efficiency=1.0, dark=0.0, loss_db=0.0):
@@ -161,6 +161,31 @@ class TestScenarioValidation:
     def test_qber_nan_in_stats_when_zero_click(self):
         s = si_scenario(detector=toy_detector(efficiency=0.0))
         assert math.isnan(channel_stats(s).qber)
+
+
+class TestTrialScenario:
+    @pytest.mark.parametrize("detector", [SI, INGAAS], ids=["si", "ingaas"])
+    @pytest.mark.parametrize("delta", [None, 0.0, 0.7])
+    def test_equals_replace(self, detector, delta):
+        s = si_scenario(100.0, delay_n=10, detector=detector, dead_time_delta=delta)
+        for mu, length in ((0.2, 100.0), (0.013, 0.0), (1.0, 412.5)):
+            assert _trial_scenario(s, mu, length) == replace(s, mu=mu, length_km=length)
+
+    @pytest.mark.parametrize(
+        "mu, length",
+        [(0.0, 10.0), (-0.1, 10.0), (math.nan, 10.0), (math.inf, 10.0),
+         (0.2, -1.0), (0.2, math.nan), (0.2, math.inf)],
+    )
+    def test_invalid_trial_rejected(self, mu, length):
+        with pytest.raises(ModelDomainError):
+            _trial_scenario(si_scenario(), mu, length)
+
+    def test_fields_are_the_ones_it_passes(self):
+        # _trial_scenario passes every field positionally; a new field must be added there
+        assert [f.name for f in fields(LinkScenario)] == [
+            "mu", "alpha_db_per_km", "length_km", "clock_hz", "baseline_error", "detector",
+            "delay_n", "dead_time_delta",
+        ]
 
 
 class TestChannelStatsRecord:

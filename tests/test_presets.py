@@ -183,3 +183,22 @@ class TestPresetParsing:
         assert old in text.splitlines()
         with pytest.raises(ScenarioParseError, match="preset fig3: "):
             parse_preset("fig3", text.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("si.efficiency = 0.35", "si.efficiency = 2"),
+            ("ingaas.dark_per_window = 9.2e-6", "ingaas.dark_per_window = 0.6"),
+            ("si.dead_time_s = 45e-9", "si.dead_time_s = -1"),
+            ("ingaas.receiver_loss_db = 3.0", "ingaas.receiver_loss_db = -3"),
+        ],
+    )
+    def test_out_of_range_detector_value_names_preset_and_key(self, old, new):
+        from dpsrk.errors import ScenarioParseError
+
+        text = (preset_directory() / "fig3.preset").read_text()
+        line = text.splitlines().index(old) + 1
+        key = new.split(" = ")[0]
+        with pytest.raises(ScenarioParseError, match=f"preset fig3: {key} must be ") as info:
+            parse_preset("fig3", text.replace(old, new))
+        assert (info.value.line, info.value.column) == (line, new.index("= ") + 3)
