@@ -103,14 +103,10 @@ class UpConversionCurve:
             value = getattr(self, name)
             if not -math.inf < value < math.inf:
                 raise ModelDomainError(f"{name} must be finite, got {value}")
-        # The quartic must stay non-negative over the whole supported pump
-        # domain; sample densely once at construction.
-        for i in range(3001):
-            p = SUPPORTED_PUMP_MAX_MW * i / 3000
-            if _dark_poly(self, p) < 0.0:
-                raise ModelRangeError(
-                    f"dark-rate polynomial is negative at pump {p:.4f} mW"
-                )
+        # The quartic must stay non-negative over the whole supported pump domain.
+        rate, p = _dark_poly_min(self)
+        if rate < 0.0:
+            raise ModelRangeError(f"dark-rate polynomial is negative at pump {p:.4f} mW")
 
 
 def _efficiency(curve: UpConversionCurve, pump_mw, sin=math.sin, sqrt=math.sqrt):
@@ -124,6 +120,47 @@ def _dark_poly(curve: UpConversionCurve, pump_mw):
     return curve.b0 + pump_mw * (
         curve.b1 + pump_mw * (curve.b2 + pump_mw * (curve.b3 + pump_mw * curve.b4))
     )
+
+
+def _dark_poly_min(curve: UpConversionCurve) -> tuple[float, float]:
+    """The least value of the quartic dark-rate fit on the supported domain, and its pump.
+
+    The minimum lies at an end of the domain or at a real root of the cubic
+    derivative.  The real roots of the quadratic second derivative cut the
+    domain into pieces on which the derivative is monotonic, so each piece
+    holds at most one root of it, which bisection finds.
+    """
+    b1, b2, b3, b4 = curve.b1, curve.b2, curve.b3, curve.b4
+
+    def negative_slope(p: float) -> bool:
+        return b1 + p * (2.0 * b2 + p * (3.0 * b3 + p * 4.0 * b4)) < 0.0
+
+    # roots of the second derivative a p^2 + b p + c, without cancellation
+    a, b, c = 12.0 * b4, 6.0 * b3, 2.0 * b2
+    roots = []
+    if a != 0.0:
+        disc = b * b - 4.0 * a * c
+        if disc >= 0.0:
+            t = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = [t / a, c / t] if t != 0.0 else [0.0]
+    elif b != 0.0:
+        roots = [-c / b]
+    # the cuts are candidates too: where rounding moved a cut past a pair of
+    # derivative roots, the minimum between them is within rounding of the cut's
+    top = SUPPORTED_PUMP_MAX_MW
+    cuts = sorted({0.0, top, *(r for r in roots if 0.0 < r < top)})
+    candidates = list(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        lo_negative = negative_slope(lo)
+        if lo_negative == negative_slope(hi):
+            continue
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if negative_slope(mid) == lo_negative:
+                lo = mid
+            else:
+                hi = mid
+        candidates += (lo, hi)
+    return min((_dark_poly(curve, p), p) for p in candidates)
 
 
 #: Fitted curve for a PPLN waveguide up-converter pumped at 1320 nm with a
@@ -228,8 +265,10 @@ def _nep_grid(curve: UpConversionCurve, pumps):
     import numpy as np
 
     eta = _efficiency(curve, pumps, np.sin, np.sqrt)
-    # x/0 and 0/0 where the efficiency is 0; the root of a negative dark rate is NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # x/0 and 0/0 where the efficiency is 0, and overflow to inf where it is
+    # subnormal (as 1.0 / 5e-324 is inf in Python); the root of a negative
+    # dark rate is NaN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(eta > 0.0, _nep(_dark_poly(curve, pumps), eta, np.sqrt), np.inf)
 
 

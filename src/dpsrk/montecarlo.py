@@ -10,15 +10,22 @@ floor).
 
 Randomness comes from numpy's Philox 4x64 counter-based generator.  Windows
 are processed in fixed chunks of 2**20 and chunk ``j`` uses the substream
-``SeedSequence(entropy=seed, spawn_key=(j,))``, so results are reproducible
-across platforms and independent of how chunks would be scheduled across
-workers.
+``SeedSequence(entropy=seed, spawn_key=(j,))``.  Within its substream a chunk
+of ``n`` windows reads the signal uniforms from draw 0 and the dark uniforms
+from draw ``n``, then the per-click draws; it streams its windows in blocks
+of 2**16 and keeps only the signal bit of each clicked window.  Chunks run
+on up to one thread per usable CPU, each of ``w`` threads taking every
+``w``-th chunk (numpy's random fills and ufuncs release the GIL), and their
+integer counts are summed, so results are reproducible across platforms and
+do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -27,6 +34,8 @@ from .errors import ModelDomainError
 from .link import LinkScenario
 
 CHUNK_WINDOWS = 1 << 20
+# Windows per block within a chunk: a block's uniforms stay in a core's cache.
+_BLOCK_WINDOWS = 1 << 16
 
 
 def _is_whole(x, lo: int, hi: float = math.inf) -> bool:
@@ -106,10 +115,15 @@ class McResult:
         return cls(n_windows, clicks, errors, p_hat, p_se, q_hat, q_se)
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(
+def _chunk_rng(seed: int, index: int, skip: int = 0) -> np.random.Generator:
+    """Chunk ``index``'s substream, ``skip`` doubles in."""
+    rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(index,)))
     )
+    # one Philox counter step yields four 64-bit draws, and a double takes one
+    rng.bit_generator.advance(skip // 4)
+    rng.random(skip % 4)
+    return rng
 
 
 def _chunks(n: int):
@@ -126,28 +140,69 @@ def _attacked_error(cfg: McConfig) -> list[float]:
     return [security.ir_error_floor(n) if n != cfg.eve_delay_m else b for n in cfg.delay_choices]
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_counts(
+    cfg: McConfig, intercept: bool, stats: link.ChannelStats, j: int, n: int
+) -> tuple[int, int]:
+    """(clicks, errors) of chunk ``j``, which holds ``n`` windows."""
+    rng = _chunk_rng(cfg.seed, j)  # the signal uniforms
+    tail = _chunk_rng(cfg.seed, j, skip=n)  # the dark uniforms, then the per-click draws
+    block = min(n, _BLOCK_WINDOWS)
+    uniform = np.empty(block)
+    sig = np.empty(block, dtype=bool)
+    click = np.empty(block, dtype=bool)
+    kept = []  # the signal bit of each clicked window
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        np.less(rng.random(out=uniform[:m]), stats.p_signal, out=sig[:m])
+        np.less(tail.random(out=uniform[:m]), stats.p_dark, out=click[:m])
+        np.logical_or(sig[:m], click[:m], out=click[:m])
+        kept.append(sig[:m][click[:m]])
+    sig = np.concatenate(kept)  # from here on, one entry per clicked window
+    k = sig.size
+    threshold = np.where(sig, cfg.scenario.baseline_error, 0.5)
+    u = tail.random(k)  # before the attack draws: ir_fraction = 0 is the plain link
+    if intercept:
+        attacked_error = np.array(_attacked_error(cfg))
+        attacked = tail.random(k) < cfg.ir_fraction
+        bob_idx = tail.integers(0, attacked_error.size, size=k)
+        threshold = np.where(sig & attacked, attacked_error[bob_idx], threshold)
+    return k, int(np.count_nonzero(u < threshold))
+
+
 def _sample(cfg: McConfig, intercept: bool) -> McResult:
     """Count clicks and errors chunk by chunk for either sampling mode."""
     stats = link.channel_stats(cfg.scenario)
-    b = cfg.scenario.baseline_error
-    attacked_error = np.array(_attacked_error(cfg))
-    clicks = 0
-    errors = 0
-    for j, n in _chunks(cfg.n_pulses):
-        rng = _chunk_rng(cfg.seed, j)
-        sig = rng.random(n) < stats.p_signal
-        click = sig | (rng.random(n) < stats.p_dark)
-        sig = sig[click]  # from here on, one entry per clicked window
-        k = sig.size
-        threshold = np.where(sig, b, 0.5)
-        u = rng.random(k)  # before the attack draws: ir_fraction = 0 is the plain link
-        if intercept:
-            attacked = rng.random(k) < cfg.ir_fraction
-            bob_idx = rng.integers(0, attacked_error.size, size=k)
-            threshold = np.where(sig & attacked, attacked_error[bob_idx], threshold)
-        clicks += k
-        errors += int(np.count_nonzero(u < threshold))
-    return McResult.from_counts(cfg.n_pulses, clicks, errors)
+    workers = min(-(-cfg.n_pulses // CHUNK_WINDOWS), _usable_cpus())
+
+    def stride(first: int) -> tuple[int, int]:
+        # chunks first, first + workers, ...: all chunks but the last are equal,
+        # and a worker holds one chunk at a time however many there are
+        clicks = 0
+        errors = 0
+        for j, n in islice(_chunks(cfg.n_pulses), first, None, workers):
+            k, e = _chunk_counts(cfg, intercept, stats, j, n)
+            clicks += k
+            errors += e
+        return clicks, errors
+
+    if workers == 1:
+        totals = [stride(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            totals = list(pool.map(stride, range(workers)))
+    return McResult.from_counts(
+        cfg.n_pulses, sum(k for k, _ in totals), sum(e for _, e in totals)
+    )
 
 
 def simulate_link(cfg: McConfig) -> McResult:

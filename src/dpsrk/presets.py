@@ -36,6 +36,10 @@ _DETECTOR_KEYS = {
 _KNOWN_KEYS = {*_PRESET_FLOAT_KEYS, "n_set"} | {
     f"{v}.{k}" for v in DETECTOR_VARIANTS for k in _DETECTOR_KEYS
 }
+# Each link key of a preset and the name LinkScenario's messages give it.
+_LINK_KEYS = {
+    "b": "baseline error", "mu": "mu", "nu_hz": "clock rate", "alpha_db_per_km": "alpha",
+}
 
 
 @dataclass(frozen=True)
@@ -104,15 +108,8 @@ def parse_preset(name: str, text: str) -> Preset:
         try:
             detectors[variant] = DetectorSpec(name=variant, mode=mode, **params)
         except ModelDomainError as exc:
-            # DetectorSpec's message starts with the field it rejects
-            message = str(exc)
-            key, field = next(
-                (k, f) for k, f in _DETECTOR_KEYS.items() if message.startswith(f"{f} ")
-            )
-            raise ScenarioParseError(
-                f"preset {name}: {variant}.{key}{message[len(field):]}",
-                *seen[f"{variant}.{key}"][1:],
-            ) from None
+            keys = {f"{variant}.{key}": field for key, field in _DETECTOR_KEYS.items()}
+            raise _error_at_key(name, str(exc), keys, seen) from None
     preset = Preset(
         name=name,
         baseline_error=floats["b"],
@@ -126,8 +123,19 @@ def parse_preset(name: str, text: str) -> Preset:
     try:  # LinkScenario's own checks reject an out-of-range mu, b, nu_hz or alpha
         preset.scenario()
     except ModelDomainError as exc:
-        raise ScenarioParseError(f"preset {name}: {exc}") from None
+        raise _error_at_key(name, str(exc), _LINK_KEYS, seen) from None
     return preset
+
+
+def _error_at_key(
+    name: str, message: str, keys: Mapping[str, str], seen: Mapping[str, tuple[str, int, int]]
+) -> ScenarioParseError:
+    """A model check's ``message`` about a value of preset ``name``, at that value's key.
+
+    ``keys`` maps each preset key to the name the message starts with.
+    """
+    key, field = next((k, f) for k, f in keys.items() if message.startswith(f"{f} "))
+    return ScenarioParseError(f"preset {name}: {key}{message[len(field):]}", *seen[key][1:])
 
 
 def _natural_key(name: str):

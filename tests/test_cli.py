@@ -329,6 +329,17 @@ class TestOptimizeCommands:
         )
         assert rc == 0
 
+    def test_optimize_pump_subnormal_pump_prints_no_warning(self):
+        # numpy's NEP grid overflows where the efficiency is subnormal
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpsrk.cli", "optimize-pump", "--lo", "5e-324", "--hi", "1e-6"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_optimize_pump_without_block(self, capsys, basic_scenario_path):
         rc, _, err = run(capsys, "optimize-pump", "--scenario", basic_scenario_path)
         assert rc == 1

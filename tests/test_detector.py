@@ -1,6 +1,8 @@
 import math
 import re
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,6 +81,41 @@ class TestUpDarkRate:
                 a1=0.465, a2=79.75, b0=10.0, b1=-100.0, b2=0.0, b3=0.0, b4=0.0,
                 bandwidth_hz=50e9,
             )
+
+    def test_fit_negative_between_samples_rejected_at_construction(self):
+        with pytest.raises(ModelRangeError, match="negative at pump 0.0050 mW"):
+            UpConversionCurve(**DIP)
+
+    @settings(deadline=None)
+    @given(
+        roots=st.lists(st.floats(-5.0, 35.0), min_size=1, max_size=4),
+        lift=st.floats(-1.0, 1.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    @example(roots=[10.005, 10.005], lift=-1e-8, sign=1.0)  # negative only near 10.005 mW
+    @example(roots=[10.0, 10.0, 20.0, 20.0], lift=1e-6, sign=1.0)
+    def test_construction_agrees_with_the_derivative_roots(self, roots, lift, sign):
+        # sign * prod(p - r) + lift scaled to the quartic's size on [0, 30]
+        coeffs = sign * np.polynomial.polynomial.polyfromroots(roots)
+        grid = np.linspace(0.0, SUPPORTED_PUMP_MAX_MW, 301)
+        scale = np.abs(np.polynomial.polynomial.polyval(grid, coeffs)).max()
+        coeffs[0] += lift * scale
+        b = [float(c) for c in coeffs] + [0.0] * (5 - coeffs.size)
+        # numpy's roots of the derivative, against the bisection's; a real
+        # root repeated can come back with a small imaginary part, and the
+        # real part of a complex root is one more point the minimum is below
+        pumps = [0.0, SUPPORTED_PUMP_MAX_MW] + [
+            r.real for r in np.polynomial.polynomial.polyroots(
+                np.polynomial.polynomial.polyder(coeffs))
+            if 0.0 <= r.real <= SUPPORTED_PUMP_MAX_MW
+        ]
+        least = min(np.polynomial.polynomial.polyval(pumps, coeffs))
+        assume(abs(least) > 1e-9 * scale)  # rounding decides a minimum this close to 0
+        if least < 0.0:
+            with pytest.raises(ModelRangeError):
+                UpConversionCurve(0.465, 79.75, *b, 50e9)
+        else:
+            UpConversionCurve(0.465, 79.75, *b, 50e9)
 
 
 class TestUpConversionCurveValidation:
@@ -215,11 +252,9 @@ curves = st.builds(
 )
 pumps = st.floats(0.0, SUPPORTED_PUMP_MAX_MW)
 
-# a quartic that dips below 0 between two of the 3001 pumps UpConversionCurve
-# checks: (p - 0.005)^2 - 1e-5 is negative within 0.0032 mW of 0.005 mW
-DIP = UpConversionCurve(
-    a1=0.465, a2=79.75, b0=1.5e-5, b1=-0.01, b2=1.0, b3=0.0, b4=0.0, bandwidth_hz=50e9
-)
+# a quartic that dips below 0 between two of 3001 evenly spaced pumps:
+# (p - 0.005)^2 - 1e-5 is negative within 0.0032 mW of 0.005 mW
+DIP = dict(a1=0.465, a2=79.75, b0=1.5e-5, b1=-0.01, b2=1.0, b3=0.0, b4=0.0, bandwidth_hz=50e9)
 
 
 class TestPumpGridScreen:
@@ -260,11 +295,21 @@ class TestPumpGridScreen:
         assert len(calls) <= 40
 
     def test_negative_dark_rate_raises_as_the_scalar_scan(self):
-        assert math.isnan(_nep_grid(DIP, np.array([0.005]))[0])
+        # UpConversionCurve rejects DIP, so this stand-in skips its check to
+        # reach the screen's fallback for a negative dark rate
+        dip = SimpleNamespace(**DIP)
+        assert math.isnan(_nep_grid(dip, np.array([0.005]))[0])
         with pytest.raises(ModelRangeError) as want:
-            scalar_optimize_pump(DIP, (0.0, 0.01))
+            scalar_optimize_pump(dip, (0.0, 0.01))
         with pytest.raises(ModelRangeError, match=f"^{re.escape(str(want.value))}$"):
-            optimize_pump(DIP, (0.0, 0.01))
+            optimize_pump(dip, (0.0, 0.01))
+
+    def test_subnormal_pump_raises_no_warning(self):
+        # the efficiency at 5e-324 mW is subnormal, so its NEP overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = optimize_pump(CURVE, (5e-324, 1e-6))
+        assert found == optimize_pump(CURVE, (1e-300, 1e-6))
 
 
 class TestMakeDetector:

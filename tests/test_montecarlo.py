@@ -1,13 +1,17 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from dpsrk import montecarlo
 from dpsrk.detector import DetectorMode, DetectorSpec
 from dpsrk.errors import ModelDomainError
 from dpsrk.link import channel_stats
 from dpsrk.montecarlo import (
     CHUNK_WINDOWS,
     McConfig,
+    McResult,
     intercept_resend_expectation,
     link_expectation,
     simulate_intercept_resend,
@@ -15,7 +19,7 @@ from dpsrk.montecarlo import (
 )
 from dpsrk.presets import load_presets
 
-from conftest import si_scenario
+from conftest import INGAAS, si_scenario
 
 
 def always_click_scenario(baseline_error=0.0):
@@ -150,6 +154,71 @@ class TestSimulateInterceptResend:
         assert q == pytest.approx(0.5 * 0.5 * 0.25, rel=1e-12)
         se = math.sqrt(q * (1.0 - q) / result.clicks)
         assert abs(result.qber_hat - q) <= 3.0 * se
+
+
+def reference_sample(cfg, intercept):
+    """The sampler drawing each chunk as whole arrays from one cursor, one chunk at a time."""
+    stats = channel_stats(cfg.scenario)
+    b = cfg.scenario.baseline_error
+    attacked_error = np.array(montecarlo._attacked_error(cfg))
+    clicks = 0
+    errors = 0
+    for j, n in montecarlo._chunks(cfg.n_pulses):
+        rng = montecarlo._chunk_rng(cfg.seed, j)
+        sig = rng.random(n) < stats.p_signal
+        click = sig | (rng.random(n) < stats.p_dark)
+        sig = sig[click]
+        k = sig.size
+        threshold = np.where(sig, b, 0.5)
+        u = rng.random(k)
+        if intercept:
+            attacked = rng.random(k) < cfg.ir_fraction
+            bob_idx = rng.integers(0, attacked_error.size, size=k)
+            threshold = np.where(sig & attacked, attacked_error[bob_idx], threshold)
+        clicks += k
+        errors += int(np.count_nonzero(u < threshold))
+    return McResult.from_counts(cfg.n_pulses, clicks, errors)
+
+
+EDGE_PULSES = [1, 2, 3, 4, 5, (1 << 16) - 1, (1 << 16) + 1, CHUNK_WINDOWS - 1,
+               CHUNK_WINDOWS + 1, 2 * CHUNK_WINDOWS + 17]
+
+configs = st.builds(
+    McConfig,
+    scenario=st.builds(
+        si_scenario,
+        length_km=st.sampled_from([0.0, 25.0, 100.0, 300.0]),
+        detector=st.sampled_from([always_click_scenario().detector, INGAAS,
+                                  dark_only_scenario().detector]),
+        baseline_error=st.floats(0.0, 0.4),
+    ),
+    n_pulses=st.one_of(st.sampled_from(EDGE_PULSES), st.integers(1, 3 * CHUNK_WINDOWS - 1)),
+    seed=st.integers(0, 2**64 - 1),
+    ir_fraction=st.floats(0.0, 1.0),
+    eve_delay_m=st.integers(1, 4),
+    bob_delay_choices=st.one_of(st.none(), st.lists(st.integers(1, 4), min_size=1,
+                                                    max_size=4).map(tuple)),
+)
+
+
+class TestStreamedChunks:
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("intercept", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=configs)
+    @example(cfg=McConfig(scenario=si_scenario(0.0), n_pulses=2 * CHUNK_WINDOWS + 17, seed=5,
+                          ir_fraction=0.5, eve_delay_m=2, bob_delay_choices=(1, 2)))
+    def test_counts_equal_the_whole_array_reference(self, workers, intercept, cfg):
+        simulate = simulate_intercept_resend if intercept else simulate_link
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_usable_cpus", lambda: workers)
+            assert simulate(cfg) == reference_sample(cfg, intercept)
+
+    @pytest.mark.parametrize("n", [CHUNK_WINDOWS, 4097, 4098, 4099])
+    def test_skipped_cursor_reads_on_from_draw_n(self, n):
+        # n % 4 runs through 0-3; the cursor continues past the dark uniforms
+        skipped = montecarlo._chunk_rng(11, 2, skip=n).random(n + 7)
+        assert np.array_equal(skipped, montecarlo._chunk_rng(11, 2).random(2 * n + 7)[n:])
 
 
 class TestExpectations:

@@ -177,12 +177,7 @@ class TestPresetParsing:
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, old, new):
-        from dpsrk.errors import ScenarioParseError
-
-        text = (preset_directory() / "fig3.preset").read_text()
-        assert old in text.splitlines()
-        with pytest.raises(ScenarioParseError, match="preset fig3: "):
-            parse_preset("fig3", text.replace(old, new))
+        assert_rejected_at_key(old, new)
 
     @pytest.mark.parametrize(
         "old, new",
@@ -194,11 +189,16 @@ class TestPresetParsing:
         ],
     )
     def test_out_of_range_detector_value_names_preset_and_key(self, old, new):
-        from dpsrk.errors import ScenarioParseError
+        assert_rejected_at_key(old, new)
 
-        text = (preset_directory() / "fig3.preset").read_text()
-        line = text.splitlines().index(old) + 1
-        key = new.split(" = ")[0]
-        with pytest.raises(ScenarioParseError, match=f"preset fig3: {key} must be ") as info:
-            parse_preset("fig3", text.replace(old, new))
-        assert (info.value.line, info.value.column) == (line, new.index("= ") + 3)
+
+def assert_rejected_at_key(old, new):
+    """fig3 with line ``old`` replaced by ``new`` fails at the value of ``new``'s key."""
+    from dpsrk.errors import ScenarioParseError
+
+    text = (preset_directory() / "fig3.preset").read_text()
+    line = text.splitlines().index(old) + 1
+    key = new.split(" = ")[0]
+    with pytest.raises(ScenarioParseError, match=f"preset fig3: {key} must be ") as info:
+        parse_preset("fig3", text.replace(old, new))
+    assert (info.value.line, info.value.column) == (line, new.index("= ") + 3)
