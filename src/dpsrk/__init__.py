@@ -11,7 +11,6 @@ Monte Carlo sampler that cross-checks the analytic formulas.
 from .detector import (
     PPLN_UPCONVERTER,
     DarkConvention,
-    DetectorMode,
     DetectorSpec,
     PumpOperatingPoint,
     UpConversionCurve,
@@ -57,7 +56,6 @@ __all__ = [
     "AttackModel",
     "ChannelStats",
     "DarkConvention",
-    "DetectorMode",
     "DetectorSpec",
     "ECTable",
     "LinkScenario",

@@ -13,7 +13,6 @@ import math
 import sys
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 from . import rate
 from .detector import (
@@ -185,9 +184,8 @@ def _cmd_rate(args) -> int:
     point = rate.secure_rate(scenario, attack, f_fixed=_f_fixed(args, caption_f))
     _print_point(point)
     if args.csv:
-        new_file = not Path(args.csv).exists()
         with open(args.csv, "a", newline="\n") as fh:
-            if new_file:
+            if fh.tell() == 0:  # an append-mode file starts at its end
                 fh.write(CSV_HEADER + "\n")
             fh.write(_point_row(point) + "\n")
     return 0 if point.secure else 2

@@ -31,24 +31,19 @@ _PUMP_GRID_STEPS = 2048
 _NEP_SLACK = 1e-9
 
 
-class DetectorMode(enum.Enum):
-    GATED = "gated"
-    NONGATED = "nongated"
-
-
 @dataclass(frozen=True)
 class DetectorSpec:
     """Operating parameters of one single-photon detector.
 
     Args:
-        name: Free-form label (used in reports and CSV grouping).
+        name: A label, carried from a scenario's ``detector.name`` or a
+            preset's variant; no number or output reads it.
         efficiency: Quantum efficiency in [0, 1].
         dark_per_window: Dark-count probability per measurement window.
             Must stay below 0.5 so that the two-detector dark probability
             remains a valid probability.
         dead_time: Recovery time after a click, in seconds.
         receiver_loss_db: Losses in the receiver unit, in dB.
-        mode: Gated (InGaAs-style) or nongated (Geiger-mode Si) operation.
     """
 
     name: str
@@ -56,7 +51,6 @@ class DetectorSpec:
     dark_per_window: float
     dead_time: float
     receiver_loss_db: float
-    mode: DetectorMode
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -340,8 +334,7 @@ def make_detector_from_upconversion(
     """Build the effective detector for an up-converter + Si APD chain.
 
     Efficiency and dark counts come from the curve at the given pump; the
-    dark rate is reduced per mode by the waveguide bandwidth and the Si APD
-    runs nongated.
+    dark rate is reduced per mode by the waveguide bandwidth.
     """
     return DetectorSpec(
         name=name,
@@ -351,5 +344,4 @@ def make_detector_from_upconversion(
         ),
         dead_time=dead_time,
         receiver_loss_db=receiver_loss_db,
-        mode=DetectorMode.NONGATED,
     )

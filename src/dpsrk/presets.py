@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .detector import DetectorMode, DetectorSpec
+from .detector import DetectorSpec
 from .errors import ModelDomainError, ScenarioParseError
 from .link import LinkScenario
 from .scenario import _parse_float, _parse_int, read_keys, read_text
@@ -104,9 +104,8 @@ def parse_preset(name: str, text: str) -> Preset:
     detectors = {}
     for variant in DETECTOR_VARIANTS:
         params = {field: fetch_float(f"{variant}.{key}") for key, field in _DETECTOR_KEYS.items()}
-        mode = DetectorMode.NONGATED if variant == "si" else DetectorMode.GATED
         try:
-            detectors[variant] = DetectorSpec(name=variant, mode=mode, **params)
+            detectors[variant] = DetectorSpec(name=variant, **params)
         except ModelDomainError as exc:
             keys = {f"{variant}.{key}": field for key, field in _DETECTOR_KEYS.items()}
             raise _error_at_key(name, str(exc), keys, seen) from None

@@ -15,7 +15,6 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .detector import (
-    DetectorMode,
     DetectorSpec,
     UpConversionCurve,
     make_detector_from_upconversion,
@@ -46,7 +45,6 @@ class ScenarioFile:
     delta: float | None = None
     detector_efficiency: float | None = None
     detector_dark_per_window: float | None = None
-    detector_mode: str | None = None
     upconv_a1: float | None = None
     upconv_a2: float | None = None
     upconv_b0: float | None = None
@@ -62,28 +60,6 @@ class ScenarioFile:
             return None
         return UpConversionCurve(**{name: getattr(self, f"upconv_{name}") for name in _CURVE})
 
-    def detector(self) -> DetectorSpec:
-        return self._detector(self.upconversion_curve())
-
-    def _detector(self, curve: UpConversionCurve | None) -> DetectorSpec:
-        if curve is not None and self.upconv_pump_mw is not None:
-            return make_detector_from_upconversion(
-                curve,
-                self.upconv_pump_mw,
-                dead_time=self.detector_dead_time_s,
-                receiver_loss_db=self.detector_receiver_loss_db,
-                name=self.detector_name,
-            )
-        mode = DetectorMode(self.detector_mode) if self.detector_mode else DetectorMode.GATED
-        return DetectorSpec(
-            name=self.detector_name,
-            efficiency=self.detector_efficiency,
-            dark_per_window=self.detector_dark_per_window,
-            dead_time=self.detector_dead_time_s,
-            receiver_loss_db=self.detector_receiver_loss_db,
-            mode=mode,
-        )
-
     def build(self, length_km: float) -> tuple[LinkScenario, AttackModel]:
         """Materialize the scenario at one link length."""
         return self.build_with(self.upconversion_curve(), length_km)
@@ -92,13 +68,29 @@ class ScenarioFile:
         self, curve: UpConversionCurve | None, length_km: float
     ) -> tuple[LinkScenario, AttackModel]:
         """``build``, given this file's ``upconversion_curve()`` built once by the caller."""
+        if curve is not None and self.upconv_pump_mw is not None:
+            detector = make_detector_from_upconversion(
+                curve,
+                self.upconv_pump_mw,
+                dead_time=self.detector_dead_time_s,
+                receiver_loss_db=self.detector_receiver_loss_db,
+                name=self.detector_name,
+            )
+        else:
+            detector = DetectorSpec(
+                name=self.detector_name,
+                efficiency=self.detector_efficiency,
+                dark_per_window=self.detector_dark_per_window,
+                dead_time=self.detector_dead_time_s,
+                receiver_loss_db=self.detector_receiver_loss_db,
+            )
         scenario = LinkScenario(
             mu=self.mu,
             alpha_db_per_km=self.alpha_db_per_km,
             length_km=length_km,
             clock_hz=self.clock_hz,
             baseline_error=self.baseline_error,
-            detector=self._detector(curve),
+            detector=detector,
             delay_n=self.delay_n,
             dead_time_delta=self.delta,
         )
@@ -153,6 +145,8 @@ def tokenize_kv(text: str) -> list[tuple[str, str, int, int]]:
 
 def _parse_float(key: str, value: str, line: int, col: int) -> float:
     try:
+        if not value.isascii() or "_" in value:  # float() takes 1_0 and non-ASCII digits
+            raise ValueError
         parsed = float(value)
     except ValueError:
         raise ScenarioParseError(f"invalid number for key '{key}': {value!r}", line, col) from None
@@ -163,6 +157,8 @@ def _parse_float(key: str, value: str, line: int, col: int) -> float:
 
 def _parse_int(key: str, value: str, line: int, col: int) -> int:
     try:
+        if not value.isascii() or "_" in value:  # int() takes 1_0 and non-ASCII digits
+            raise ValueError
         return int(value)
     except ValueError:
         raise ScenarioParseError(f"invalid integer for key '{key}': {value!r}", line, col) from None
@@ -210,13 +206,6 @@ def parse_scenario(text: str) -> ScenarioFile:
         AttackModel(values["attack"])
     except ModelDomainError as exc:
         raise ScenarioParseError(str(exc), *seen["attack"][1:]) from None
-    mode = values.get("detector_mode")
-    modes = [m.value for m in DetectorMode]
-    if mode is not None and mode not in modes:
-        raise ScenarioParseError(
-            f"unknown detector.mode '{mode}' (expected {' or '.join(modes)})",
-            *seen["detector.mode"][1:],
-        )
 
     curve_keys = [f"upconv.{name}" for name in _CURVE]
     upconv_present = [k for k in curve_keys if k in seen]
@@ -233,8 +222,6 @@ def parse_scenario(text: str) -> ScenarioFile:
                     seen[key][1],
                     1,
                 )
-        if values.get("detector_mode") is None:
-            values["detector_mode"] = "nongated"
     else:
         for key in ("detector.efficiency", "detector.dark_per_window"):
             require(key)

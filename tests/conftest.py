@@ -1,6 +1,6 @@
 import pytest
 
-from dpsrk.detector import DetectorMode, DetectorSpec
+from dpsrk.detector import DetectorSpec
 from dpsrk.link import LinkScenario
 from dpsrk.security import AttackModel
 
@@ -13,7 +13,6 @@ SI = DetectorSpec(
     dark_per_window=3.5e-8,
     dead_time=45e-9,
     receiver_loss_db=2.1,
-    mode=DetectorMode.NONGATED,
 )
 
 INGAAS = DetectorSpec(
@@ -22,7 +21,6 @@ INGAAS = DetectorSpec(
     dark_per_window=9.2e-6,
     dead_time=200e-9,
     receiver_loss_db=3.0,
-    mode=DetectorMode.GATED,
 )
 
 HYBRID_NOMEM = AttackModel.HYBRID_NOMEM

@@ -81,6 +81,14 @@ class TestRateCommand:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
 
+    def test_csv_header_written_to_empty_file(self, capsys, tmp_path):
+        csv_path = tmp_path / "points.csv"
+        csv_path.touch()
+        run(capsys, "rate", "--preset", "fig3", "--length", "10", "--csv", str(csv_path))
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 2
+
     def test_parse_failure_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text(BASIC.replace("mu = 0.2", "mu = abc"))

@@ -14,7 +14,6 @@ from dpsrk.detector import (
     PPLN_UPCONVERTER,
     SUPPORTED_PUMP_MAX_MW,
     DarkConvention,
-    DetectorMode,
     DetectorSpec,
     UpConversionCurve,
     _nep_grid,
@@ -317,7 +316,6 @@ class TestMakeDetector:
         spec = make_detector_from_upconversion(CURVE, 0.0, dead_time=45e-9, receiver_loss_db=2.1)
         assert spec.efficiency == 0.0
         assert spec.dark_per_window == pytest.approx(CURVE.b0 / CURVE.bandwidth_hz, rel=1e-15)
-        assert spec.mode is DetectorMode.NONGATED
 
     def test_composes_constituent_operations(self):
         point = optimize_pump(CURVE, (1e-4, 0.5))
@@ -334,7 +332,7 @@ class TestMakeDetector:
     def test_direct_si_preset_values(self):
         spec = DetectorSpec(
             name="si", efficiency=0.35, dark_per_window=3.5e-8, dead_time=45e-9,
-            receiver_loss_db=2.1, mode=DetectorMode.NONGATED,
+            receiver_loss_db=2.1,
         )
         assert spec.efficiency == 0.35
         assert spec.dark_per_window == 3.5e-8
@@ -358,7 +356,7 @@ class TestDetectorSpecValidation:
     def test_rejects_out_of_range(self, field, value):
         params = dict(
             name="x", efficiency=0.3, dark_per_window=1e-6, dead_time=0.0,
-            receiver_loss_db=0.0, mode=DetectorMode.GATED,
+            receiver_loss_db=0.0,
         )
         params[field] = value
         with pytest.raises(ModelDomainError):

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, strategies as st
 
-from dpsrk.detector import DetectorMode, DetectorSpec
+from dpsrk.detector import DetectorSpec
 from dpsrk.errors import ModelDomainError
 from dpsrk.link import ChannelStats, LinkScenario, _trial_scenario, channel_stats
 
@@ -14,7 +14,7 @@ from conftest import INGAAS, SI, si_scenario
 def toy_detector(efficiency=1.0, dark=0.0, loss_db=0.0):
     return DetectorSpec(
         name="toy", efficiency=efficiency, dark_per_window=dark, dead_time=0.0,
-        receiver_loss_db=loss_db, mode=DetectorMode.NONGATED,
+        receiver_loss_db=loss_db,
     )
 
 

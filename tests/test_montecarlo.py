@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpsrk import montecarlo
-from dpsrk.detector import DetectorMode, DetectorSpec
+from dpsrk.detector import DetectorSpec
 from dpsrk.errors import ModelDomainError
 from dpsrk.link import channel_stats
 from dpsrk.montecarlo import (
@@ -26,7 +26,7 @@ def always_click_scenario(baseline_error=0.0):
     """Every window produces a signal click: mu=1, eta=1, zero loss, no dark."""
     det = DetectorSpec(
         name="perfect", efficiency=1.0, dark_per_window=0.0, dead_time=0.0,
-        receiver_loss_db=0.0, mode=DetectorMode.NONGATED,
+        receiver_loss_db=0.0,
     )
     return si_scenario(length_km=0.0, mu=1.0, baseline_error=baseline_error, detector=det)
 
@@ -34,7 +34,7 @@ def always_click_scenario(baseline_error=0.0):
 def dark_only_scenario():
     det = DetectorSpec(
         name="dark", efficiency=0.0, dark_per_window=3.5e-4, dead_time=0.0,
-        receiver_loss_db=0.0, mode=DetectorMode.GATED,
+        receiver_loss_db=0.0,
     )
     return si_scenario(detector=det)
 
@@ -91,7 +91,7 @@ class TestSimulateLink:
         # the signal underflows to exactly 0 and there are no dark counts
         det = DetectorSpec(
             name="quiet", efficiency=0.5, dark_per_window=0.0, dead_time=0.0,
-            receiver_loss_db=0.0, mode=DetectorMode.GATED,
+            receiver_loss_db=0.0,
         )
         s = si_scenario(length_km=1000.0, alpha_db_per_km=1000.0, detector=det)
         cfg = McConfig(scenario=s, n_pulses=10_000, seed=3, ir_fraction=1.0, eve_delay_m=2,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from dpsrk.detector import DetectorMode
 from dpsrk.errors import DpsrkError
 from dpsrk.presets import load_presets, parse_preset, preset_directory
 from dpsrk.scenario import tokenize_kv
@@ -74,11 +73,9 @@ class TestRegistryValues:
         si = preset.detectors["si"]
         assert (si.efficiency, si.dark_per_window) == (0.35, 3.5e-8)
         assert (si.dead_time, si.receiver_loss_db) == (45e-9, 2.1)
-        assert si.mode is DetectorMode.NONGATED
         ingaas = preset.detectors["ingaas"]
         assert (ingaas.efficiency, ingaas.dark_per_window) == (0.155, 9.2e-6)
         assert (ingaas.dead_time, ingaas.receiver_loss_db) == (200e-9, 3.0)
-        assert ingaas.mode is DetectorMode.GATED
 
     def test_natural_ordering(self):
         names = list(load_presets())
@@ -155,6 +152,8 @@ class TestPresetParsing:
             ("si.dead_time_s = 45e-9", "si.dead_time_s = inf"),
             ("f = 1.16", "f = 0.5"),
             ("n_set = 1,10,100", "n_set = 0,-3"),
+            ("mu = 0.2", "mu = 0.2_0"),
+            ("n_set = 1,10,100", "n_set = 1,1_0,100"),
         ],
     )
     def test_bad_number_reports_line_and_column(self, old, new):

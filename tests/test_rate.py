@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from dpsrk.detector import DetectorMode, DetectorSpec
+from dpsrk.detector import DetectorSpec
 from dpsrk.errors import ModelDomainError, NoSecureDistanceError
 from dpsrk.link import channel_stats
 from dpsrk.presets import load_presets
@@ -28,7 +28,7 @@ def quiet_detector(dead_time=0.0):
     """Detector with no dark counts, for clean-limit tests."""
     return DetectorSpec(
         name="quiet", efficiency=0.35, dark_per_window=0.0, dead_time=dead_time,
-        receiver_loss_db=2.1, mode=DetectorMode.NONGATED,
+        receiver_loss_db=2.1,
     )
 
 
@@ -91,7 +91,7 @@ class TestSecureRate:
     def test_zero_click_point(self):
         dead = DetectorSpec(
             name="dead", efficiency=0.0, dark_per_window=0.0, dead_time=0.0,
-            receiver_loss_db=0.0, mode=DetectorMode.GATED,
+            receiver_loss_db=0.0,
         )
         point = secure_rate(si_scenario(detector=dead), HYBRID_NOMEM)
         assert point.secure_rate_hz == 0.0
@@ -148,7 +148,7 @@ class TestDeadTimeFactor:
             dead_time_delta=1.0,
             detector=DetectorSpec(
                 name="t", efficiency=1.0, dark_per_window=0.0, dead_time=45e-9,
-                receiver_loss_db=0.0, mode=DetectorMode.NONGATED,
+                receiver_loss_db=0.0,
             ),
         )
         point = secure_rate(s, HYBRID_NOMEM)
@@ -160,7 +160,7 @@ class TestDeadTimeFactor:
         # no clicks, no saturation: the corrected rate equals the (zero) rate
         dead = DetectorSpec(
             name="dead", efficiency=0.0, dark_per_window=0.0, dead_time=1e-6,
-            receiver_loss_db=0.0, mode=DetectorMode.GATED,
+            receiver_loss_db=0.0,
         )
         point = secure_rate(si_scenario(detector=dead, clock_hz=1e10), HYBRID_NOMEM)
         assert point.secure_rate_deadtime_hz == point.secure_rate_hz == 0.0
@@ -178,7 +178,7 @@ class TestBB84Reference:
     def test_zero_signal(self):
         dead = DetectorSpec(
             name="dead", efficiency=0.0, dark_per_window=1e-8, dead_time=0.0,
-            receiver_loss_db=0.0, mode=DetectorMode.GATED,
+            receiver_loss_db=0.0,
         )
         assert bb84_reference(si_scenario(detector=dead)) == 0.0
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from dpsrk import rate
 from dpsrk._rate_grid import grid_rates
 from dpsrk._search import golden_min, grid_bracket
-from dpsrk.detector import DetectorMode, DetectorSpec
+from dpsrk.detector import DetectorSpec
 from dpsrk.link import LinkScenario
 from dpsrk.presets import load_presets
 from dpsrk.rate import optimize_mu, secure_rate
@@ -24,7 +24,7 @@ ATTACKS = (HYBRID_NOMEM, HYBRID_MEM, IND_MEM, IND_NOMEM)
 def scenario(eff, dark, loss_db, alpha, length, b, clock, dead_time, delta, delay_n):
     detector = DetectorSpec(
         name="x", efficiency=eff, dark_per_window=dark, dead_time=dead_time,
-        receiver_loss_db=loss_db, mode=DetectorMode.GATED,
+        receiver_loss_db=loss_db,
     )
     return LinkScenario(
         mu=0.5, alpha_db_per_km=alpha, length_km=length, clock_hz=clock, baseline_error=b,

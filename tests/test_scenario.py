@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from dpsrk.detector import DetectorMode, up_efficiency
+from dpsrk.detector import up_efficiency
 from dpsrk.errors import ScenarioParseError
 from dpsrk.scenario import ScenarioFile, parse_scenario, serialize_scenario
 from dpsrk.security import AttackModel
@@ -18,7 +20,6 @@ detector.efficiency = 0.35
 detector.dark_per_window = 3.5e-8
 detector.dead_time_s = 45e-9
 detector.receiver_loss_db = 2.1
-detector.mode = nongated
 """
 
 UPCONV = """\
@@ -52,7 +53,6 @@ class TestParse:
         assert sf.delay_n == 100
         assert sf.attack == "hybrid_nomem"
         assert sf.detector_name == "si"
-        assert sf.detector_mode == "nongated"
 
     def test_comments_and_blank_lines(self):
         text = "\n# leading comment\n\n" + BASIC + "\n# trailing\n"
@@ -79,6 +79,21 @@ class TestParse:
             parse_scenario(BASIC.replace("mu = 0.2", "mu = abc"))
         assert "'mu'" in str(exc.value)
         assert exc.value.line == 2
+
+    # float() and int() take these, but they are not C-locale numbers
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("delay_n = 100", "delay_n = 1_00", "invalid integer for key 'delay_n'"),
+            ("mu = 0.2", "mu = \u0660.\u0662", "invalid number for key 'mu'"),
+        ],
+    )
+    def test_non_c_locale_number_rejected(self, old, new, message):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(BASIC.replace(old, new))
+        assert message in str(exc.value)
+        line = BASIC.splitlines().index(old) + 1
+        assert (exc.value.line, exc.value.column) == (line, new.index("= ") + 3)
 
     @pytest.mark.parametrize(
         "line,column", [("mu=abc", 4), ("mu = abc", 6), ("  mu =   abc", 10), ("mu =\tabc", 6)]
@@ -110,9 +125,11 @@ class TestParse:
             parse_scenario(BASIC.replace("hybrid_nomem", "sneaky"))
         assert "sneaky" in str(exc.value)
 
-    def test_bad_mode(self):
-        with pytest.raises(ScenarioParseError):
-            parse_scenario(BASIC.replace("nongated", "sideways"))
+    def test_mode_key_is_unknown(self):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(BASIC + "detector.mode = nongated\n")
+        assert "unknown key 'detector.mode'" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (len(BASIC.splitlines()) + 1, 1)
 
 
 class TestRoundTrip:
@@ -132,10 +149,9 @@ class TestRoundTrip:
 class TestUpconvBlock:
     def test_pump_fixes_detector(self):
         sf = parse_scenario(UPCONV)
-        det = sf.detector()
+        det = sf.build(0.0)[0].detector
         curve = sf.upconversion_curve()
         assert det.efficiency == up_efficiency(curve, 0.0269)
-        assert det.mode is DetectorMode.NONGATED
         assert det.dark_per_window == pytest.approx(
             (50 + 826.4 * 0.0269 + 110.3 * 0.0269**2 - 0.403 * 0.0269**3
              + 0.00065 * 0.0269**4) / 50e9,
@@ -164,7 +180,7 @@ class TestUpconvBlock:
         text = UPCONV.replace("upconv.pump_mw = 0.0269\n", "")
         text += "detector.efficiency = 0.35\ndetector.dark_per_window = 3.5e-8\n"
         sf = parse_scenario(text)
-        assert sf.detector().efficiency == 0.35
+        assert sf.build(0.0)[0].detector.efficiency == 0.35
         assert sf.upconversion_curve() is not None
 
 
@@ -193,11 +209,6 @@ class TestBuild:
         assert attack.hybrid is hybrid
         assert attack.memory is memory
 
-    def test_default_mode_is_gated(self):
-        text = BASIC.replace("detector.mode = nongated\n", "")
-        sf = parse_scenario(text)
-        assert sf.detector().mode is DetectorMode.GATED
-
     def test_delta_flows_through(self):
         sf = parse_scenario(UPCONV)
         scenario, _ = sf.build(0.0)
@@ -217,3 +228,12 @@ class TestScenarioFileEquality:
         assert isinstance(sf, ScenarioFile)
         assert sf.upconv_pump_mw == 0.0269
         assert sf.delta == 1.0
+
+
+def test_readme_scenario_example_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Scenario files", 1)[1]
+    example = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    scenario, attack = parse_scenario(example).build(0.0)
+    assert scenario.detector.efficiency == 0.35
+    assert attack is AttackModel.HYBRID_NOMEM

@@ -100,11 +100,11 @@ class TestShrinkIndividual:
 
 class TestBsTransmission:
     def test_lossless(self):
-        from dpsrk.detector import DetectorMode, DetectorSpec
+        from dpsrk.detector import DetectorSpec
 
         ideal = DetectorSpec(
             name="ideal", efficiency=1.0, dark_per_window=0.0, dead_time=0.0,
-            receiver_loss_db=0.0, mode=DetectorMode.NONGATED,
+            receiver_loss_db=0.0,
         )
         assert bs_transmission(ideal, 0.0, 0.0) == 1.0
 
