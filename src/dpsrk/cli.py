@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -30,7 +31,7 @@ from .link import LinkScenario
 from .plotscript import render_plot_script
 from .presets import DETECTOR_VARIANTS, load_presets
 from .rate import RatePoint
-from .scenario import parse_scenario, read_text
+from .scenario import _c_numeral, parse_scenario, read_text
 from .security import CASCADE_EC_TABLE, AttackModel
 
 CSV_HEADER = (
@@ -56,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 def _finite_float(text: str) -> float:
     """``type=`` converter for float options: NaN and +-inf are usage errors."""
     try:
-        value = float(text)
+        value = _c_numeral(float, text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -64,10 +65,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """``type=`` converter for integer options, C-locale numerals only."""
+    try:
+        return _c_numeral(int, text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     """``type=`` converter for comma-separated integers such as ``1,10,100``."""
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(_c_numeral(int, tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
@@ -151,7 +160,8 @@ def _point_values(point: RatePoint) -> list[tuple[str, str]]:
 
 
 def _point_row(point: RatePoint) -> str:
-    return ",".join(value for _, value in _point_values(point))
+    """``_point_values``' values joined, without building their names: one per sweep row."""
+    return ",".join([*map(_fmt, point[:10]), _flags_str(point)])
 
 
 def _print_rows(rows: list[tuple[str, str]]) -> None:
@@ -402,7 +412,7 @@ def _add_source_args(sp: argparse.ArgumentParser) -> None:
         "--detector", choices=DETECTOR_VARIANTS, default=None,
         help="detector variant for presets (default si)",
     )
-    sp.add_argument("--n", type=int, default=None, help="interferometer delay N")
+    sp.add_argument("--n", type=_integer, default=None, help="interferometer delay N")
     sp.add_argument(
         "--attack", choices=sorted(a.value for a in AttackModel), default=None,
         help="attack model (preset default hybrid_nomem)",
@@ -431,7 +441,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--axis", choices=("distance", "pump", "mu"), required=True)
     sp.add_argument("--lo", type=_finite_float, required=True)
     sp.add_argument("--hi", type=_finite_float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_integer, required=True)
     sp.add_argument("--length", type=_finite_float, default=None,
                     help="fixed link length for mu/pump sweeps")
     sp.add_argument("--csv", metavar="PATH", help="output path (default stdout)")
@@ -460,12 +470,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("mc", help="Monte Carlo validation of the analytic model")
     _add_source_args(sp)
     sp.add_argument("--length", type=_finite_float, default=0.0, help="link length in km")
-    sp.add_argument("--pulses", type=int, default=1_000_000, help="number of windows")
-    sp.add_argument("--seed", type=int, default=0, help="64-bit stream seed")
+    sp.add_argument("--pulses", type=_integer, default=1_000_000, help="number of windows")
+    sp.add_argument("--seed", type=_integer, default=0, help="64-bit stream seed")
     sp.add_argument("--mode", choices=("link", "ir"), default="link")
     sp.add_argument("--ir-fraction", type=_finite_float, default=None,
                     help="attacked window fraction (ir mode only, default 1.0)")
-    sp.add_argument("--eve-m", type=int, default=None,
+    sp.add_argument("--eve-m", type=_integer, default=None,
                     help="Eve's delay M (ir mode only, default 1)")
     sp.add_argument("--bob-n", metavar="N1,N2,...", type=_int_list, default=None,
                     help="Bob's random delay choices (ir mode only; default: scenario delay)")
@@ -487,7 +497,14 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here rather than at exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone, which is no error.  Point stdout at devnull so
+        # that the exit flush of what is still buffered stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DpsrkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

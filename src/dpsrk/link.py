@@ -115,5 +115,7 @@ def channel_stats(s: LinkScenario) -> ChannelStats:
     raw_signal, dark, raw_click, errors = _click_terms(s, s.mu)
     clamped = raw_click > 1.0
     qber = errors / raw_click if raw_click > 0.0 else math.nan
-    return ChannelStats(min(raw_signal, 1.0), dark, min(raw_click, 1.0), qber, clamped)
+    # conditional expressions in place of min(x, 1.0): the same value for NaN and -0.0
+    p_signal = 1.0 if raw_signal > 1.0 else raw_signal
+    return ChannelStats(p_signal, dark, 1.0 if clamped else raw_click, qber, clamped)
 

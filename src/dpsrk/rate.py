@@ -8,16 +8,13 @@ information through the shrinking factor tau and the error-correction cost
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
 from . import link, security
 from ._search import golden_min, grid_bracket
-from .errors import (
-    AboveCorrectionRangeError,
-    ModelDomainError,
-    NoSecureDistanceError,
-)
+from .errors import ModelDomainError, NoSecureDistanceError
 from .link import LinkScenario, _trial_scenario
 from .security import CASCADE_EC_TABLE, AttackModel
 
@@ -25,6 +22,16 @@ FLAG_CLAMPED = "clamped"
 FLAG_INSECURE = "insecure"
 FLAG_ABOVE_EC_RANGE = "above_ec_range"
 FLAG_DEADTIME_LIMITED = "deadtime_limited"
+
+# Every flag set a point can carry, keyed by which of these four flags it holds.
+_FLAG_ORDER = (FLAG_CLAMPED, FLAG_ABOVE_EC_RANGE, FLAG_DEADTIME_LIMITED, FLAG_INSECURE)
+_FLAG_SETS = {
+    key: frozenset(flag for flag, held in zip(_FLAG_ORDER, key) if held)
+    for key in itertools.product((False, True), repeat=len(_FLAG_ORDER))
+}
+
+# Last breakpoint of the cascade table; f_ec raises above it.
+_EC_E_MAX = CASCADE_EC_TABLE.points[-1][0]
 
 # Longest link max_secure_distance searches before giving up.
 _L_MAX_KM = 20000.0
@@ -71,7 +78,8 @@ def secure_rate_from_parts(
     clock_hz: float, p_click: float, qber: float, tau: float, f: float
 ) -> float:
     """Secure rate ``nu p_click (tau - f H(e))``, clamped below at 0."""
-    return max(0.0, clock_hz * p_click * (tau - f * binary_entropy(qber)))
+    r = clock_hz * p_click * (tau - f * binary_entropy(qber))
+    return r if r > 0.0 else 0.0  # max(0.0, r) without the call; same for NaN and -0.0
 
 
 def _dead_time_exponent(s: LinkScenario, p_click):
@@ -92,7 +100,9 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
 
     The returned point is never an exception: insecure or out-of-range
     operating points carry zero rate plus explanatory flags.  Without clicks
-    the QBER and f are NaN; above the correction table f is NaN.
+    the QBER and f are NaN; above the correction table f is NaN.  The range
+    test reads the table's last breakpoint here, so an above-range point
+    does not call ``security.f_ec``, which would raise for it.
 
     Raises:
         ModelDomainError: ``f_fixed`` is not a finite overhead >= 1.
@@ -100,8 +110,7 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
     if f_fixed is not None and not 1.0 <= f_fixed < math.inf:
         raise ModelDomainError(f"fixed overhead f must be finite and >= 1, got {f_fixed}")
     p_signal, p_dark, p_click, e, clamped = link.channel_stats(s)
-    flags: set[str] = {FLAG_CLAMPED} if clamped else set()
-    tau, f_used, r, saturation = 0.0, math.nan, 0.0, 0.0
+    tau, f_used, r, saturation, above = 0.0, math.nan, 0.0, 0.0, False
     if p_click > 0.0:
         if a.hybrid:
             gamma = security.surviving_fraction(s.mu, p_signal, s.delay_n, a.memory)
@@ -111,17 +120,12 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
             beta = security.single_photon_fraction(p_click, p_m)
             if beta > 0.0:
                 tau = security.shrink_individual(e, beta, a.memory)
-        try:
-            f_used = security.f_ec(CASCADE_EC_TABLE, e) if f_fixed is None else f_fixed
-        except AboveCorrectionRangeError:
-            flags.add(FLAG_ABOVE_EC_RANGE)
+        if f_fixed is None and e > _EC_E_MAX:
+            above = True
         else:
+            f_used = security.f_ec(CASCADE_EC_TABLE, e) if f_fixed is None else f_fixed
             r = secure_rate_from_parts(s.clock_hz, p_click, e, tau, f_used)
             saturation = _dead_time_exponent(s, p_click)
-            if saturation >= 1.0:
-                flags.add(FLAG_DEADTIME_LIMITED)
-    if tau == 0.0 or r == 0.0:
-        flags.add(FLAG_INSECURE)
     return RatePoint(
         s.length_km,
         p_signal,
@@ -133,7 +137,7 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
         s.clock_hz * p_click,
         r,
         r * math.exp(-saturation),
-        frozenset(flags),
+        _FLAG_SETS[clamped, above, saturation >= 1.0, tau == 0.0 or r == 0.0],
     )
 
 

@@ -143,11 +143,21 @@ def tokenize_kv(text: str) -> list[tuple[str, str, int, int]]:
     return out
 
 
+def _c_numeral(convert, text: str):
+    """``convert(text)`` for ``float`` or ``int``, taking only C-locale numerals.
+
+    Raises:
+        ValueError: ``text`` is no number, or one that only Python reads,
+            such as ``1_0`` or non-ASCII digits.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a C-locale number: {text!r}")
+    return convert(text)
+
+
 def _parse_float(key: str, value: str, line: int, col: int) -> float:
     try:
-        if not value.isascii() or "_" in value:  # float() takes 1_0 and non-ASCII digits
-            raise ValueError
-        parsed = float(value)
+        parsed = _c_numeral(float, value)
     except ValueError:
         raise ScenarioParseError(f"invalid number for key '{key}': {value!r}", line, col) from None
     if not math.isfinite(parsed):
@@ -157,9 +167,7 @@ def _parse_float(key: str, value: str, line: int, col: int) -> float:
 
 def _parse_int(key: str, value: str, line: int, col: int) -> int:
     try:
-        if not value.isascii() or "_" in value:  # int() takes 1_0 and non-ASCII digits
-            raise ValueError
-        return int(value)
+        return _c_numeral(int, value)
     except ValueError:
         raise ScenarioParseError(f"invalid integer for key '{key}': {value!r}", line, col) from None
 

@@ -169,7 +169,9 @@ def shrink_individual(e: float, beta: float, memory: bool) -> float:
     ratio, turn, arg, scale = _collision_bound(e, beta, memory)
     if ratio >= turn:
         return 0.0
-    return max(0.0, -scale * math.log2(arg))
+    # conditional expressions in place of max(0.0, x): the same value for NaN and -0.0
+    tau = -scale * math.log2(arg)
+    return tau if tau > 0.0 else 0.0
 
 
 def bs_transmission(detector: DetectorSpec, alpha_db_per_km: float, length_km: float) -> float:
@@ -201,7 +203,8 @@ def surviving_fraction(mu: float, p_signal: float, delay_n: int, memory: bool) -
         raise ModelDomainError(f"p_signal must be in [0, 1], got {p_signal}")
     if delay_n < 1:
         raise ModelDomainError(f"delay_n must be >= 1, got {delay_n}")
-    return max(0.0, _surviving_fraction(mu, p_signal, delay_n, memory))
+    gamma = _surviving_fraction(mu, p_signal, delay_n, memory)
+    return gamma if gamma > 0.0 else 0.0
 
 
 def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:
@@ -215,7 +218,8 @@ def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:
         raise ModelDomainError(f"gamma must be in [0, 1], got {gamma}")
     if not 0.0 <= e <= 0.5:
         raise ModelDomainError(f"error rate must be in [0, 0.5], got {e}")
-    return max(0.0, gamma - _hybrid_penalty(e, delay_n))
+    tau = gamma - _hybrid_penalty(e, delay_n)
+    return tau if tau > 0.0 else 0.0
 
 
 def ir_error_floor(delay_n: int) -> float:

@@ -1,13 +1,14 @@
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpsrk import scenario as scenario_module
-from dpsrk.cli import CSV_HEADER, _point_row, build_parser, main
+from dpsrk.cli import CSV_HEADER, _integer, _point_row, _point_values, build_parser, main
 from dpsrk.presets import load_presets
-from dpsrk.rate import secure_rate
+from dpsrk.rate import RatePoint, secure_rate
 from dpsrk.scenario import KNOWN_KEYS, parse_scenario
 from dpsrk.security import AttackModel
 
@@ -590,7 +591,7 @@ def _argv_value(option: str, action) -> st.SearchStrategy[str]:
         own = st.sampled_from(sorted(action.choices))
     elif option == "--preset":
         own = st.sampled_from(sorted(load_presets()))
-    elif action.type is int:
+    elif action.type is _integer:
         own = st.integers(-2, 1000).map(str)
     else:
         own = st.floats(-1.0, 200.0).map(repr)
@@ -742,3 +743,96 @@ class TestConsoleScript:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+_flag_sets = st.frozensets(
+    st.sampled_from(["above_ec_range", "clamped", "deadtime_limited", "insecure"])
+)
+
+
+class TestPointRow:
+    """The CSV row is the text view's values joined, without its name pairs."""
+
+    @given(
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=10, max_size=10),
+        flags=_flag_sets,
+    )
+    def test_matches_point_values(self, values, flags):
+        point = RatePoint(*values, flags)
+        assert _point_row(point) == ",".join(v for _, v in _point_values(point))
+
+    def test_nan_f_and_empty_flags(self):
+        base, attack = load_presets()["fig3"].scenario("si", length_km=10.0)
+        above = secure_rate(replace(base, baseline_error=0.2), attack)
+        secure = secure_rate(base, attack)
+        assert math.isnan(above.f_used) and secure.flags == frozenset()
+        for point in (above, secure):
+            assert _point_row(point) == ",".join(v for _, v in _point_values(point))
+        assert _point_row(secure).endswith(",")
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--preset", "fig3", "--length", "10"],
+            ["sweep", "--preset", "fig3", "--axis", "distance",
+             "--lo", "0", "--hi", "300", "--steps", "3001"],
+        ],
+        ids=["rate", "sweep"],
+    )
+    def test_closed_reader_exits_one_silently(self, argv):
+        # the read end is closed before the child starts, so its first write
+        # to stdout fails with EPIPE every time
+        import os
+        import subprocess
+        import sys
+
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dpsrk.cli", *argv], stdout=write_fd, stderr=subprocess.PIPE
+            )
+        finally:
+            os.close(write_fd)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+class TestCLocaleNumbers:
+    """Number options take C-locale numerals only, as scenario files do."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--preset", "fig3", "--length", "1_0"],
+            ["rate", "--preset", "fig3", "--length", "\u0661\u0660"],
+            ["rate", "--preset", "fig3", "--n", "1_0"],
+            ["rate", "--preset", "fig3", "--n", "\u0661\u0660"],
+            ["sweep", "--preset", "fig3", "--axis", "distance", "--lo", "0", "--hi", "1",
+             "--steps", "1_0"],
+            ["mc", "--preset", "fig3", "--pulses", "1_000"],
+            ["mc", "--preset", "fig3", "--pulses", "1000", "--seed", "\u0661"],
+            ["mc", "--preset", "fig3", "--pulses", "1000", "--mode", "ir", "--eve-m", "1_0"],
+            ["mc", "--preset", "fig3", "--pulses", "1000", "--mode", "ir", "--bob-n", "1,1_0"],
+            ["mc", "--preset", "fig3", "--pulses", "1000", "--mode", "ir",
+             "--bob-n", "1,\u0661\u0660"],
+        ],
+    )
+    def test_python_only_numerals_are_usage_errors(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--preset", "fig3", "--length", "10", "--n", "10"],
+            ["mc", "--preset", "fig3", "--pulses", "1000", "--seed", "7", "--mode", "ir",
+             "--eve-m", "1", "--bob-n", "1,10"],
+        ],
+    )
+    def test_c_locale_numerals_still_run(self, capsys, argv):
+        rc, _, err = run(capsys, *argv)
+        assert rc in (0, 2), err

@@ -1,17 +1,24 @@
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import dpsrk
+from dpsrk import link, security
 from dpsrk.detector import DetectorSpec
-from dpsrk.errors import ModelDomainError, NoSecureDistanceError
-from dpsrk.link import channel_stats
+from dpsrk.errors import AboveCorrectionRangeError, ModelDomainError, NoSecureDistanceError
+from dpsrk.link import ChannelStats, LinkScenario, channel_stats
 from dpsrk.presets import load_presets
 from dpsrk.rate import (
     FLAG_ABOVE_EC_RANGE,
+    FLAG_CLAMPED,
     FLAG_DEADTIME_LIMITED,
     FLAG_INSECURE,
     RatePoint,
+    _dead_time_exponent,
     asymptotic_rate,
     bb84_reference,
     binary_entropy,
@@ -20,6 +27,7 @@ from dpsrk.rate import (
     secure_rate,
     secure_rate_from_parts,
 )
+from dpsrk.security import CASCADE_EC_TABLE
 
 from conftest import HYBRID_MEM, HYBRID_NOMEM, IND_MEM, IND_NOMEM, SI, si_scenario
 
@@ -393,3 +401,197 @@ class TestRatePointRecord:
         assert a == b
         assert hash(a) == hash(b)
         assert a != secure_rate(si_scenario(50.0), HYBRID_NOMEM)
+
+
+def reference_secure_rate(s, a, *, f_fixed=None):
+    """``secure_rate`` in its plain form, which ``secure_rate`` must match bit for bit.
+
+    Here ``f_ec`` decides the correction range by raising, and each point
+    builds its own flag set.
+    """
+    if f_fixed is not None and not 1.0 <= f_fixed < math.inf:
+        raise ModelDomainError(f"fixed overhead f must be finite and >= 1, got {f_fixed}")
+    p_signal, p_dark, p_click, e, clamped = link.channel_stats(s)
+    flags = {FLAG_CLAMPED} if clamped else set()
+    tau, f_used, r, saturation = 0.0, math.nan, 0.0, 0.0
+    if p_click > 0.0:
+        if a.hybrid:
+            gamma = security.surviving_fraction(s.mu, p_signal, s.delay_n, a.memory)
+            tau = security.shrink_hybrid(e, gamma, s.delay_n)
+        else:
+            p_m = security.poisson_multiphoton(s.mu)
+            beta = security.single_photon_fraction(p_click, p_m)
+            if beta > 0.0:
+                tau = security.shrink_individual(e, beta, a.memory)
+        try:
+            f_used = security.f_ec(CASCADE_EC_TABLE, e) if f_fixed is None else f_fixed
+        except AboveCorrectionRangeError:
+            flags.add(FLAG_ABOVE_EC_RANGE)
+        else:
+            r = secure_rate_from_parts(s.clock_hz, p_click, e, tau, f_used)
+            saturation = _dead_time_exponent(s, p_click)
+            if saturation >= 1.0:
+                flags.add(FLAG_DEADTIME_LIMITED)
+    if tau == 0.0 or r == 0.0:
+        flags.add(FLAG_INSECURE)
+    return RatePoint(
+        s.length_km, p_signal, p_dark, p_click, e, tau, f_used, s.clock_hz * p_click, r,
+        r * math.exp(-saturation), frozenset(flags),
+    )
+
+
+def bits(point: RatePoint):
+    """The point's values as exact text (NaN equals NaN, -0.0 differs from 0.0), and its flags."""
+    assert type(point.flags) is frozenset
+    return [repr(v) for v in point[:10]], point.flags
+
+
+def link_scenario(mu, eff, dark, loss_db, length, b, clock, dead_time, delta, delay_n):
+    detector = DetectorSpec(
+        name="x", efficiency=eff, dark_per_window=dark, dead_time=dead_time,
+        receiver_loss_db=loss_db,
+    )
+    return LinkScenario(
+        mu=mu, alpha_db_per_km=0.2, length_km=length, clock_hz=clock, baseline_error=b,
+        detector=detector, delay_n=delay_n, dead_time_delta=delta,
+    )
+
+
+# One scenario per branch of the chain that changes a flag or a NaN.
+CLAMPED = link_scenario(5.0, 1.0, 0.2, 0.0, 0.0, 0.01, 1e9, 1e-8, None, 10)
+NO_CLICKS = link_scenario(0.2, 0.0, 0.0, 0.0, 0.0, 0.01, 1e9, 1e-6, None, 1)
+ERROR_FREE = link_scenario(0.2, 0.35, 0.0, 2.1, 50.0, 0.0, 1e9, 45e-9, None, 100)
+ABOVE_RANGE = link_scenario(0.01, 0.35, 3.5e-8, 2.1, 10.0, 0.2, 1e9, 45e-9, None, 100)
+DEADTIME_LIMITED = link_scenario(0.2, 0.35, 3.5e-8, 2.1, 0.0, 0.01, 1e10, 45e-9, None, 100)
+BRANCHES = {
+    "clamped": CLAMPED, "no_clicks": NO_CLICKS, "error_free": ERROR_FREE,
+    "above_range": ABOVE_RANGE, "deadtime_limited": DEADTIME_LIMITED,
+}
+ATTACKS = (HYBRID_NOMEM, HYBRID_MEM, IND_MEM, IND_NOMEM)
+
+link_scenarios = st.builds(
+    link_scenario,
+    mu=st.floats(1e-6, 2.0),
+    eff=st.floats(0.0, 1.0),
+    dark=st.one_of(st.just(0.0), st.floats(1e-10, 0.2)),
+    loss_db=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    length=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
+    b=st.one_of(st.just(0.0), st.floats(0.0, 0.49)),
+    clock=st.one_of(st.just(1e10), st.floats(1e6, 1e10)),
+    dead_time=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)),
+    delta=st.one_of(st.none(), st.floats(0.0, 2.0)),
+    delay_n=st.integers(1, 1000),
+)
+
+
+class TestBitIdentity:
+    """``secure_rate`` returns the reference chain's bits: values, NaNs and flags."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=link_scenarios,
+        attack=st.sampled_from(ATTACKS),
+        f_fixed=st.one_of(st.none(), st.floats(1.0, 2.0)),
+    )
+    @example(s=ABOVE_RANGE, attack=HYBRID_NOMEM, f_fixed=None)
+    @example(s=ABOVE_RANGE, attack=IND_NOMEM, f_fixed=1.16)
+    def test_against_reference(self, s, attack, f_fixed):
+        assert bits(secure_rate(s, attack, f_fixed=f_fixed)) == bits(
+            reference_secure_rate(s, attack, f_fixed=f_fixed)
+        )
+
+    @pytest.mark.parametrize("f_fixed", [None, 1.16])
+    @pytest.mark.parametrize("attack", ATTACKS, ids=[a.value for a in ATTACKS])
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_each_branch(self, branch, attack, f_fixed):
+        s = BRANCHES[branch]
+        point = secure_rate(s, attack, f_fixed=f_fixed)
+        assert bits(point) == bits(reference_secure_rate(s, attack, f_fixed=f_fixed))
+
+    def test_branches_are_reached(self):
+        def point(name, f_fixed=None):
+            return secure_rate(BRANCHES[name], HYBRID_NOMEM, f_fixed=f_fixed)
+
+        assert FLAG_CLAMPED in point("clamped").flags
+        assert point("no_clicks").p_click == 0.0 and math.isnan(point("no_clicks").qber)
+        assert point("error_free").qber == 0.0
+        assert FLAG_ABOVE_EC_RANGE in point("above_range").flags
+        assert FLAG_ABOVE_EC_RANGE not in point("above_range", 1.16).flags
+        assert FLAG_DEADTIME_LIMITED in point("deadtime_limited").flags
+        assert secure_rate(ABOVE_RANGE, IND_MEM).tau > 0.0
+
+    @pytest.mark.parametrize("attack", ATTACKS, ids=[a.value for a in ATTACKS])
+    @pytest.mark.parametrize(
+        "qber, above", [(0.15, False), (math.nextafter(0.15, 1.0), True)], ids=["last", "next"]
+    )
+    def test_correction_range_boundary(self, monkeypatch, attack, qber, above):
+        # the table's last breakpoint is in range; the next float above it is not
+        assert CASCADE_EC_TABLE.points[-1][0] == 0.15
+        stats = ChannelStats(1e-3, 1e-6, 1e-3 + 1e-6, qber, False)
+        monkeypatch.setattr(link, "channel_stats", lambda s: stats)
+        s = si_scenario(10.0, mu=0.01)
+        point = secure_rate(s, attack)
+        assert bits(point) == bits(reference_secure_rate(s, attack))
+        assert (FLAG_ABOVE_EC_RANGE in point.flags) == above
+        assert math.isnan(point.f_used) == above
+
+
+finite = st.floats(-1e3, 1e3)
+
+
+class TestClampForms:
+    """The conditional clamps give the bits of the ``max``/``min`` builtins they replace."""
+
+    @given(x=st.one_of(finite, st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])))
+    def test_secure_rate_from_parts(self, x):
+        # tau = x, f H(e) = 0 at e = 0, so the clamped value is x itself
+        want = max(0.0, 1.0 * 1.0 * (x - 1.0 * binary_entropy(0.0)))
+        assert repr(secure_rate_from_parts(1.0, 1.0, 0.0, x, 1.0)) == repr(want)
+
+    @given(e=st.floats(0.0, 0.5), gamma=st.floats(0.0, 1.0), n=st.integers(1, 1000))
+    @example(e=0.0, gamma=-0.0, n=1)  # -0.0 - 0.0 is -0.0, which the clamp makes 0.0
+    def test_shrink_hybrid(self, e, gamma, n):
+        want = max(0.0, gamma - security._hybrid_penalty(e, n))
+        assert repr(security.shrink_hybrid(e, gamma, n)) == repr(want)
+
+    @given(mu=st.floats(1e-9, 2.0), p_signal=st.floats(0.0, 1.0), n=st.integers(1, 1000),
+           memory=st.booleans())
+    def test_surviving_fraction(self, mu, p_signal, n, memory):
+        want = max(0.0, security._surviving_fraction(mu, p_signal, n, memory))
+        assert repr(security.surviving_fraction(mu, p_signal, n, memory)) == repr(want)
+
+    @given(e=st.floats(0.0, 0.5), beta=st.floats(1e-9, 1.0), memory=st.booleans())
+    # just below the turning point the log argument rounds to 1: -scale * 0.0 is -0.0
+    @example(e=math.nextafter(0.5, 0.0), beta=1.0, memory=True)
+    def test_shrink_individual(self, e, beta, memory):
+        ratio, turn, arg, scale = security._collision_bound(e, beta, memory)
+        want = 0.0 if ratio >= turn else max(0.0, -scale * math.log2(arg))
+        assert repr(security.shrink_individual(e, beta, memory)) == repr(want)
+
+    @given(s=link_scenarios)
+    def test_channel_stats(self, s):
+        raw_signal, dark, raw_click, errors = link._click_terms(s, s.mu)
+        got = channel_stats(s)
+        assert repr(got.p_signal) == repr(min(raw_signal, 1.0))
+        assert repr(got.p_click) == repr(min(raw_click, 1.0))
+
+
+def test_above_range_point_raises_nothing_inside_the_package():
+    # an exception raised and caught per point is a hot-path cost; the range
+    # test must come before f_ec, not after it
+    package = str(Path(dpsrk.__file__).parent)
+    raised = []
+
+    def trace(frame, event, arg):
+        if event == "exception" and frame.f_code.co_filename.startswith(package):
+            raised.append((frame.f_code.co_name, arg[0].__name__))
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        point = secure_rate(ABOVE_RANGE, HYBRID_NOMEM)
+    finally:
+        sys.settrace(previous)
+    assert FLAG_ABOVE_EC_RANGE in point.flags
+    assert raised == []

@@ -87,3 +87,29 @@ def test_traced_secure_rate_sees_each_layer_once(attack, layers, others):
         assert tracer.calls[name] == 1, name
     for name in others:
         assert tracer.calls[name] == 0, name
+
+
+@pytest.mark.parametrize(
+    "attack, layers, others",
+    [
+        (HYBRID_NOMEM, HYBRID_LAYERS, INDIVIDUAL_LAYERS),
+        (IND_MEM, INDIVIDUAL_LAYERS, HYBRID_LAYERS),
+    ],
+    ids=["hybrid", "individual"],
+)
+def test_traced_above_range_point_skips_f_ec(attack, layers, others):
+    # b = 0.2 puts the QBER above the correction table, which secure_rate
+    # tests against the table's last breakpoint without calling f_ec
+    s = si_scenario(10.0, mu=0.01, baseline_error=0.2)
+    tracer = load_tracer()
+    tracer.install()
+    try:
+        point = dpsrk.rate.secure_rate(s, attack)
+    finally:
+        tracer.uninstall()
+    assert dpsrk.rate.FLAG_ABOVE_EC_RANGE in point.flags
+    assert tracer.calls["security.f_ec"] == 0
+    for name in ("rate.secure_rate", "link.channel_stats", *layers):
+        assert tracer.calls[name] == 1, name
+    for name in others:
+        assert tracer.calls[name] == 0, name
