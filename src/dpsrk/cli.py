@@ -27,7 +27,7 @@ from .detector import (
     optimize_pump,
 )
 from .errors import DpsrkError, NoSecureDistanceError
-from .link import LinkScenario
+from .link import LinkScenario, _trial_scenario
 from .plotscript import render_plot_script
 from .presets import DETECTOR_VARIANTS, load_presets
 from .rate import RatePoint
@@ -98,7 +98,8 @@ def _load_source(
     Returns the scenario at ``length_km``, its attack, the up-conversion
     curve (None without an ``upconv`` block) and the preset's caption f
     (None for a scenario file).  Commands derive their other points from
-    this scenario with ``dataclasses.replace``.
+    this scenario: ``link._trial_scenario`` for a new length or mu, and
+    ``dataclasses.replace`` for a new detector.
     """
     if bool(args.scenario) == bool(args.preset):
         raise UsageError("exactly one of --scenario or --preset is required")
@@ -217,9 +218,9 @@ def _cmd_sweep(args) -> int:
     lines = [CSV_HEADER]
     for value in values:
         if args.axis == "distance":
-            scenario = replace(base, length_km=value)
+            scenario = _trial_scenario(base, base.mu, value)
         elif args.axis == "mu":
-            scenario = replace(base, mu=value)
+            scenario = _trial_scenario(base, value, base.length_km)
         else:  # pump
             det = make_detector_from_upconversion(
                 curve,

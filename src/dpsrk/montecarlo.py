@@ -13,7 +13,11 @@ are processed in fixed chunks of 2**20 and chunk ``j`` uses the substream
 ``SeedSequence(entropy=seed, spawn_key=(j,))``.  Within its substream a chunk
 of ``n`` windows reads the signal uniforms from draw 0 and the dark uniforms
 from draw ``n``, then the per-click draws; it streams its windows in blocks
-of 2**16 and keeps only the signal bit of each clicked window.  Chunks run
+of 2**16 and keeps only the signal bit of each clicked window.  A window's
+uniform is numpy's double ``(x >> 11) * 2**-53`` of a raw 64-bit word ``x``;
+the window loop compares ``x`` itself with an integer limit that gives the
+same verdict as the double against its probability, so the streams and the
+results are those of ``Generator.random()`` compares.  Chunks run
 on up to one thread per usable CPU, each of ``w`` threads taking every
 ``w``-th chunk (numpy's random fills and ufuncs release the GIL), and their
 integer counts are summed, so results are reproducible across platforms and
@@ -34,7 +38,7 @@ from .errors import ModelDomainError
 from .link import LinkScenario
 
 CHUNK_WINDOWS = 1 << 20
-# Windows per block within a chunk: a block's uniforms stay in a core's cache.
+# Windows per block within a chunk: a block's raw words stay in a core's cache.
 _BLOCK_WINDOWS = 1 << 16
 
 
@@ -148,21 +152,43 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _word_limit(p: float) -> np.uint64 | None:
+    """Limit on a raw Philox word ``x``: ``x < limit`` exactly when ``x``'s double is ``< p``.
+
+    numpy turns ``x`` into the double ``(x >> 11) * 2**-53``, which is below
+    ``p`` exactly when ``x >> 11 < ceil(p * 2**53)``; ``p * 2**53`` is exact.
+    ``None`` means every word is below ``p``, where the limit ``2**64`` would
+    not fit in a uint64.
+    """
+    steps = math.ceil(p * 2.0**53)
+    return None if steps >= 1 << 53 else np.uint64(steps << 11)
+
+
+def _below(bits: np.random.BitGenerator, m: int, limit: np.uint64 | None, out) -> None:
+    """Draw ``m`` raw words from ``bits``; ``out[i]`` is whether word ``i`` is below ``limit``."""
+    words = bits.random_raw(m)
+    if limit is None:
+        out.fill(True)
+    else:
+        np.less(words, limit, out=out)
+
+
 def _chunk_counts(
     cfg: McConfig, intercept: bool, stats: link.ChannelStats, j: int, n: int
 ) -> tuple[int, int]:
     """(clicks, errors) of chunk ``j``, which holds ``n`` windows."""
-    rng = _chunk_rng(cfg.seed, j)  # the signal uniforms
-    tail = _chunk_rng(cfg.seed, j, skip=n)  # the dark uniforms, then the per-click draws
+    signal = _chunk_rng(cfg.seed, j).bit_generator  # the signal words
+    tail = _chunk_rng(cfg.seed, j, skip=n)  # the dark words, then the per-click draws
+    sig_limit = _word_limit(stats.p_signal)
+    dark_limit = _word_limit(stats.p_dark)
     block = min(n, _BLOCK_WINDOWS)
-    uniform = np.empty(block)
     sig = np.empty(block, dtype=bool)
     click = np.empty(block, dtype=bool)
     kept = []  # the signal bit of each clicked window
     for start in range(0, n, block):
         m = min(block, n - start)
-        np.less(rng.random(out=uniform[:m]), stats.p_signal, out=sig[:m])
-        np.less(tail.random(out=uniform[:m]), stats.p_dark, out=click[:m])
+        _below(signal, m, sig_limit, sig[:m])
+        _below(tail.bit_generator, m, dark_limit, click[:m])
         np.logical_or(sig[:m], click[:m], out=click[:m])
         kept.append(sig[:m][click[:m]])
     sig = np.concatenate(kept)  # from here on, one entry per clicked window

@@ -35,6 +35,8 @@ _EC_E_MAX = CASCADE_EC_TABLE.points[-1][0]
 
 # Longest link max_secure_distance searches before giving up.
 _L_MAX_KM = 20000.0
+# Widest step of the scan for a window the walk stepped over, in km.
+_WINDOW_STEP_KM = 0.25
 
 # Steps of optimize_mu's mu grid, which has one point more.
 _MU_GRID_STEPS = 512
@@ -213,10 +215,18 @@ def max_secure_distance(
     rate is above ``r_min``.  It keeps doubling until the rate falls to or
     below ``r_min`` again, then bisects that crossing to 0.01 km.
 
+    If the uncorrected rate, which never rises with length, falls to or
+    below ``r_min`` at a walk point ``L > 0`` first, a window above
+    ``r_min`` can still lie between the walk's points below ``L``.  The
+    corrected rate is then scanned on [0, L] at steps of at most 0.25 km and
+    its best point refined by golden section; the walk goes on from that
+    peak if it is above ``r_min``.  A window narrower than the scan step
+    can still be missed.
+
     Raises:
-        NoSecureDistanceError: The uncorrected rate, which never rises with
-            length, is at or below ``r_min`` before the corrected rate rises
-            above it, or the walk reaches the 20000 km search cap first.
+        NoSecureDistanceError: The corrected rate stays at or below
+            ``r_min`` on every length where the uncorrected rate is above
+            it, or the walk reaches the 20000 km search cap first.
         ModelDomainError: ``r_min`` is negative or NaN, or no
             crossing lies below the search cap.
     """
@@ -229,9 +239,19 @@ def max_secure_distance(
     def above(length: float) -> bool:
         return point(length).secure_rate_deadtime_hz > r_min
 
+    def loss(length: float) -> float:
+        return -point(length).secure_rate_deadtime_hz
+
     lo = 0.0
     p = point(lo)
     while p.secure_rate_deadtime_hz <= r_min:
+        if p.secure_rate_hz <= r_min and lo > 0.0:
+            # the walk may have stepped over a window above r_min below lo
+            left, right, _ = grid_bracket(loss, 0.0, lo, math.ceil(lo / _WINDOW_STEP_KM))
+            peak = golden_min(loss, left, right, 0.01)
+            if above(peak):
+                lo = peak
+                break
         if p.secure_rate_hz <= r_min or 2.0 * lo > _L_MAX_KM:
             raise NoSecureDistanceError(f"no secure distance: rate <= {r_min} b/s at L = {lo:g}")
         lo = max(1.0, 2.0 * lo)

@@ -186,6 +186,25 @@ class TestSweepCommand:
         assert rc == 0
         assert len(out.splitlines()) == 11
 
+    @pytest.mark.parametrize("axis, lo, hi, field", [("distance", 0.0, 250.0, "length_km"),
+                                                     ("mu", 0.05, 0.9, "mu")])
+    def test_preset_sweep_rows_are_replaced_scenarios(self, capsys, axis, lo, hi, field):
+        # every field of the preset's scenario, dead-time delta included, reaches each step
+        length = [] if axis == "distance" else ["--length", "37"]
+        rc, out, _ = run(
+            capsys, "sweep", "--preset", "fig12", "--detector", "ingaas", "--n", "10",
+            "--delta", "0.7", "--attack", "individual_mem", "--axis", axis,
+            "--lo", repr(lo), "--hi", repr(hi), "--steps", "11", *length,
+        )
+        assert rc == 0
+        base, a = load_presets()["fig12"].scenario(
+            "ingaas", delay_n=10, attack="individual_mem", length_km=37.0, delta=0.7)
+        expected = [CSV_HEADER] + [
+            _point_row(secure_rate(replace(base, **{field: lo + (hi - lo) * i / 10}), a))
+            for i in range(11)
+        ]
+        assert out.splitlines() == expected
+
     def test_bad_axis_exits_one(self, capsys):
         rc, _, err = run(
             capsys, "sweep", "--preset", "fig3", "--axis", "voltage",

@@ -221,6 +221,85 @@ class TestStreamedChunks:
         assert np.array_equal(skipped, montecarlo._chunk_rng(11, 2).random(2 * n + 7)[n:])
 
 
+class _Words:
+    """Stands in for a bit generator whose raw words are given."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, m):
+        return self.words[:m]
+
+
+class TestRawWordLimits:
+    @pytest.mark.parametrize("skip", [0, CHUNK_WINDOWS, 4097, 4098, 4099])
+    def test_raw_word_is_the_generators_double(self, skip):
+        # numpy's Philox double is (x >> 11) * 2**-53 of the next raw word, on the
+        # signal cursor (skip 0) and on the dark cursor at every skip % 4 offset
+        raw = montecarlo._chunk_rng(11, 2, skip=skip)
+        words = raw.bit_generator.random_raw(1001)
+        more = raw.random(7)  # the per-click doubles read on after the raw words
+        doubles = montecarlo._chunk_rng(11, 2, skip=skip).random(1008)
+        assert np.array_equal((words >> 11) * 2.0**-53, doubles[:1001])
+        assert np.array_equal(more, doubles[1001:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(0.0, 1.0), x=st.integers(0, 2**64 - 1))
+    @example(p=0.0, x=0)
+    @example(p=5e-324, x=0)
+    @example(p=2.0**-53, x=2**11)
+    @example(p=0.5, x=2**63)
+    @example(p=math.nextafter(1.0, 0.0), x=2**64 - 1)
+    @example(p=1.0, x=2**64 - 1)
+    def test_integer_compare_is_the_double_compare(self, p, x):
+        limit = montecarlo._word_limit(p)
+        edges = [] if limit is None else [int(limit) - 1, int(limit)]
+        words = [x] + [w for w in edges if 0 <= w < 2**64]
+        out = np.empty(len(words), dtype=bool)
+        montecarlo._below(_Words(words), len(words), limit, out)
+        doubles = (np.array(words, dtype=np.uint64) >> 11) * 2.0**-53
+        assert np.array_equal(out, doubles < p)
+
+
+PINNED_PULSES = CHUNK_WINDOWS + 17
+
+
+class TestPinnedCounts:
+    """Exact counts of the sampler's streams; a stream change fails here even
+    if the whole-array reference changes with it."""
+
+    @pytest.mark.parametrize(
+        "key, detector, length_km, intercept, kw, counts",
+        [
+            ("fig3", "si", 0.0, False, dict(seed=7), (45267, 462)),
+            ("fig3", "si", 100.0, False, dict(seed=23), (383, 3)),
+            ("fig12", "ingaas", 0.0, False, dict(seed=99), (20396, 2258)),
+            ("fig3", "si", 0.0, True,
+             dict(seed=7, ir_fraction=0.5, eve_delay_m=2, bob_delay_choices=(1, 2)),
+             (45267, 3218)),
+            ("fig3", "si", 100.0, True,
+             dict(seed=23, ir_fraction=1.0, eve_delay_m=1, bob_delay_choices=(1, 2, 3)),
+             (383, 112)),
+            ("fig12", "ingaas", 0.0, True, dict(seed=99, ir_fraction=0.25, eve_delay_m=3),
+             (20396, 4172)),
+        ],
+    )
+    def test_preset_counts(self, key, detector, length_km, intercept, kw, counts):
+        s, _ = load_presets()[key].scenario(detector, length_km=length_km)
+        simulate = simulate_intercept_resend if intercept else simulate_link
+        result = simulate(McConfig(scenario=s, n_pulses=PINNED_PULSES, **kw))
+        assert (result.clicks, result.errors) == counts
+
+    @pytest.mark.parametrize("simulate, counts", [(simulate_link, (4099, 394)),
+                                                  (simulate_intercept_resend, (4099, 544))])
+    def test_certain_signal_counts(self, simulate, counts):
+        # p_signal = 1: every signal word is below p, past the largest uint64 limit
+        cfg = McConfig(scenario=always_click_scenario(0.1), n_pulses=4099, seed=5,
+                       ir_fraction=0.5, eve_delay_m=2, bob_delay_choices=(1, 2))
+        result = simulate(cfg)
+        assert (result.clicks, result.errors) == counts
+
+
 class TestExpectations:
     def test_link_expectation_matches_channel(self):
         # 50-digit values of 1 - (1 - p_s)(1 - p_d) and the per-window QBER;

@@ -322,6 +322,94 @@ class TestMaxSecureDistance:
             max_secure_distance(s, HYBRID_NOMEM, r_min=0.0)
 
 
+def reference_max_secure_distance(s, a, r_min=0.0, *, f_fixed=None):
+    """``max_secure_distance``'s walk alone, without the scan for a window it stepped over."""
+
+    def point(length):
+        return secure_rate(replace(s, length_km=length), a, f_fixed=f_fixed)
+
+    def above(length):
+        return point(length).secure_rate_deadtime_hz > r_min
+
+    lo = 0.0
+    p = point(lo)
+    while p.secure_rate_deadtime_hz <= r_min:
+        if p.secure_rate_hz <= r_min or 2.0 * lo > 20000.0:
+            raise NoSecureDistanceError(f"no secure distance: rate <= {r_min} b/s at L = {lo:g}")
+        lo = max(1.0, 2.0 * lo)
+        p = point(lo)
+    hi = max(1.0, 2.0 * lo)
+    while above(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > 20000.0:
+            raise ModelDomainError(f"rate stays above {r_min} b/s out to the search cap")
+    while hi - lo > 0.01:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def preset_solves():
+    """Every preset curve the paper draws, with the floors 0 and 1e3 b/s."""
+    for name, preset in load_presets().items():
+        for det in ("si", "ingaas"):
+            for n in preset.n_set:
+                for attack in ("individual_mem", "individual_nomem", "hybrid_mem",
+                               "hybrid_nomem"):
+                    for f_fixed in (None, preset.f):
+                        s, a = preset.scenario(det, delay_n=n, attack=attack)
+                        for r_min in (0.0, 1e3):
+                            yield (name, det, n, attack, f_fixed, r_min), s, a
+
+
+def outcome(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except NoSecureDistanceError as exc:
+        return str(exc)
+
+
+# The two preset solves whose window above 1e3 b/s lies between two walk points.
+STEPPED_OVER = {
+    ("fig4", "ingaas", 100, "hybrid_nomem", 1.16, 1e3): (51.1, 56.4),
+    ("fig5", "ingaas", 100, "hybrid_nomem", 1.16, 1e3): (22.65, 29.6),
+}
+
+
+class TestSteppedOverWindow:
+    @pytest.mark.parametrize("key", sorted(STEPPED_OVER))
+    def test_window_between_walk_points_is_found(self, key):
+        name, det, n, attack, f_fixed, r_min = key
+        s, a = load_presets()[name].scenario(det, delay_n=n, attack=attack)
+
+        def above(length):
+            return secure_rate(replace(s, length_km=length), a,
+                               f_fixed=f_fixed).secure_rate_deadtime_hz > r_min
+
+        with pytest.raises(NoSecureDistanceError):
+            reference_max_secure_distance(s, a, r_min, f_fixed=f_fixed)
+        found = max_secure_distance(s, a, r_min, f_fixed=f_fixed)
+        first, last = STEPPED_OVER[key]
+        scan = [i * 0.01 for i in range(6401)]
+        secure = [length for length in scan if above(length)]
+        assert secure[0] == pytest.approx(first, abs=0.05)
+        assert secure[-1] == pytest.approx(last, abs=0.05)
+        assert above(found) and not above(found + 0.01)
+        assert abs(found - secure[-1]) < 0.01
+
+    def test_every_other_preset_solve_is_unchanged(self):
+        others = [(key, s, a) for key, s, a in preset_solves() if key not in STEPPED_OVER]
+        assert len(others) == 1054
+        for key, s, a in others:
+            f_fixed, r_min = key[4:]
+            expected = outcome(reference_max_secure_distance, s, a, r_min, f_fixed=f_fixed)
+            assert outcome(max_secure_distance, s, a, r_min, f_fixed=f_fixed) == expected, key
+
+
 class TestMonotonicity:
     def test_rate_non_increasing_in_length(self):
         rates = [
