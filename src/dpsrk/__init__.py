@@ -26,7 +26,6 @@ from .presets import Preset, load_presets
 from .rate import (
     RatePoint,
     asymptotic_rate,
-    bb84_reference,
     binary_entropy,
     max_secure_distance,
     optimize_mu,
@@ -67,7 +66,6 @@ __all__ = [
     "ScenarioFile",
     "UpConversionCurve",
     "asymptotic_rate",
-    "bb84_reference",
     "binary_entropy",
     "bs_transmission",
     "channel_stats",

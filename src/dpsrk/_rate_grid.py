@@ -36,12 +36,12 @@ def grid_rates(
     positive part is ``secure_rate_deadtime_hz``.  It is 0 where nothing
     clicks and -inf where the QBER is above the correction table.
     """
-    raw_signal, _dark, raw_click, errors = link._click_terms(s, mus)
+    raw_signal, dark, raw_click, errors = link._click_terms(s, mus)
     p_signal = np.minimum(raw_signal, 1.0)
     p_click = np.minimum(raw_click, 1.0)
     # Masked-out lanes may divide by zero, overflow or take log2 of a non-positive number.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        e = errors / raw_click
+        e = np.where(dark == 0.0, s.baseline_error, errors / raw_click)
         if a.hybrid:
             gamma = np.maximum(
                 0.0, security._surviving_fraction(mus, p_signal, s.delay_n, a.memory)

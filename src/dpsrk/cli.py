@@ -139,30 +139,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _flags_str(point: RatePoint) -> str:
-    return "|".join(sorted(point.flags))
-
-
-def _point_values(point: RatePoint) -> list[tuple[str, str]]:
-    """The point's named values, in ``CSV_HEADER`` order."""
-    return [
-        ("length_km", _fmt(point.length_km)),
-        ("p_signal", _fmt(point.p_signal)),
-        ("p_dark", _fmt(point.p_dark)),
-        ("p_click", _fmt(point.p_click)),
-        ("qber", _fmt(point.qber)),
-        ("tau", _fmt(point.tau)),
-        ("f_used", _fmt(point.f_used)),
-        ("sifted_bps", _fmt(point.sifted_rate_hz)),
-        ("secure_bps", _fmt(point.secure_rate_hz)),
-        ("secure_deadtime_bps", _fmt(point.secure_rate_deadtime_hz)),
-        ("flags", _flags_str(point)),
-    ]
+# The text view's names of the CSV_HEADER columns.
+_POINT_NAMES = (
+    "length_km", "p_signal", "p_dark", "p_click", "qber", "tau", "f_used",
+    "sifted_bps", "secure_bps", "secure_deadtime_bps", "flags",
+)
 
 
 def _point_row(point: RatePoint) -> str:
-    """``_point_values``' values joined, without building their names: one per sweep row."""
-    return ",".join([*map(_fmt, point[:10]), _flags_str(point)])
+    """The point as one CSV row in ``CSV_HEADER`` order; no field holds a comma."""
+    return ",".join([*map(_fmt, point[:10]), "|".join(sorted(point.flags))])
 
 
 def _print_rows(rows: list[tuple[str, str]]) -> None:
@@ -172,7 +158,7 @@ def _print_rows(rows: list[tuple[str, str]]) -> None:
 
 
 def _print_point(point: RatePoint) -> None:
-    rows = [(name, value or "-") for name, value in _point_values(point)]
+    rows = [(name, value or "-") for name, value in zip(_POINT_NAMES, _point_row(point).split(","))]
     rows.append(("secure", "yes" if point.secure else "no"))
     _print_rows(rows)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._search import first_min_candidates, golden_min, grid_bracket
-from .errors import ModelDomainError, ModelRangeError, NoFeasiblePointError
+from .errors import ModelDomainError
 
 # Pump powers (mW) the fitted curves are trusted on.  The quartic dark-rate
 # fit turns unphysical far outside the measured region, so evaluation beyond
@@ -74,7 +74,9 @@ class UpConversionCurve:
     ``a1 * sin^2(sqrt(a2 * p))`` gives the conversion efficiency and a
     quartic polynomial in the pump power gives the dark-count rate in 1/s.
     ``bandwidth_hz`` is the waveguide bandwidth used to convert the dark
-    rate into a per-mode dark-count probability.
+    rate into a per-mode dark-count probability.  Construction raises
+    ``ModelDomainError`` for a parameter out of range or a quartic that is
+    negative somewhere on the supported pump domain.
     """
 
     a1: float
@@ -100,7 +102,7 @@ class UpConversionCurve:
         # The quartic must stay non-negative over the whole supported pump domain.
         rate, p = _dark_poly_min(self)
         if rate < 0.0:
-            raise ModelRangeError(f"dark-rate polynomial is negative at pump {p:.4f} mW")
+            raise ModelDomainError(f"dark-rate polynomial is negative at pump {p:.4f} mW")
 
 
 def _efficiency(curve: UpConversionCurve, pump_mw, sin=math.sin, sqrt=math.sqrt):
@@ -206,13 +208,16 @@ def up_efficiency(curve: UpConversionCurve, pump_mw: float) -> float:
 
 
 def up_dark_rate(curve: UpConversionCurve, pump_mw: float) -> float:
-    """Dark-count rate in 1/s at pump ``p`` mW (quartic fit)."""
+    """Dark-count rate in 1/s at pump ``p`` mW (quartic fit).
+
+    Raises:
+        ModelDomainError: ``p`` is outside the supported domain, or the fit
+            is negative there.
+    """
     _check_pump(pump_mw)
     rate = _dark_poly(curve, pump_mw)
     if rate < 0.0:
-        raise ModelRangeError(
-            f"dark-rate fit is negative ({rate}) at pump {pump_mw} mW"
-        )
+        raise ModelDomainError(f"dark-rate fit is negative ({rate}) at pump {pump_mw} mW")
     return rate
 
 
@@ -282,9 +287,9 @@ def optimize_pump(
     the scalar objective scans the whole grid as the screen's fallback.
 
     Raises:
-        NoFeasiblePointError: If the efficiency is zero over the whole range.
-        ModelRangeError: If the dark-rate fit is negative at a pump the
-            search scores.
+        ModelDomainError: If the range is empty or leaves the supported
+            domain, the efficiency is zero over the whole range, or the
+            dark-rate fit is negative at a pump the search scores.
     """
     lo, hi = pump_range
     if lo > hi:
@@ -300,9 +305,7 @@ def optimize_pump(
 
     if hi - lo < 1e-12:
         if up_efficiency(curve, lo) <= 0.0:
-            raise NoFeasiblePointError(
-                f"efficiency is zero at the degenerate pump range [{lo}, {lo}]"
-            )
+            raise ModelDomainError(f"efficiency is zero at the degenerate pump range [{lo}, {lo}]")
         return PumpOperatingPoint(lo, up_efficiency(curve, lo), up_dark_rate(curve, lo))
 
     import numpy as np  # the grid screen; importing this module loads no numpy
@@ -317,9 +320,7 @@ def optimize_pump(
             indices = first_min_candidates(neps, _NEP_SLACK * neps)
     a, b, best = grid_bracket(objective, lo, hi, n, indices)
     if not math.isfinite(best):
-        raise NoFeasiblePointError(
-            f"efficiency is zero over the whole pump range [{lo}, {hi}]"
-        )
+        raise ModelDomainError(f"efficiency is zero over the whole pump range [{lo}, {hi}]")
     p_star = golden_min(objective, a, b, 1e-6)
     return PumpOperatingPoint(p_star, up_efficiency(curve, p_star), up_dark_rate(curve, p_star))
 

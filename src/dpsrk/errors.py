@@ -6,27 +6,7 @@ class DpsrkError(Exception):
 
 
 class ModelDomainError(DpsrkError, ValueError):
-    """An input lies outside the domain a model is defined on."""
-
-
-class ModelRangeError(DpsrkError, ValueError):
-    """A fitted model produced a value outside its physically valid range."""
-
-
-class UndefinedQBERError(DpsrkError, ValueError):
-    """QBER is undefined because the click probability is zero."""
-
-
-class InsecureChannelError(DpsrkError, ValueError):
-    """The channel state admits no secret bits (e.g. single-photon fraction <= 0)."""
-
-
-class AboveCorrectionRangeError(DpsrkError, ValueError):
-    """Error rate exceeds the range the error-correction table covers."""
-
-
-class NoFeasiblePointError(DpsrkError, ValueError):
-    """An optimizer found no feasible point in the requested range."""
+    """An input lies outside the domain a model is defined on, or the model has no value there."""
 
 
 class NoSecureDistanceError(DpsrkError, ValueError):

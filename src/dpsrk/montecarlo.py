@@ -206,14 +206,15 @@ def _chunk_counts(
 def _sample(cfg: McConfig, intercept: bool) -> McResult:
     """Count clicks and errors chunk by chunk for either sampling mode."""
     stats = link.channel_stats(cfg.scenario)
-    workers = min(-(-cfg.n_pulses // CHUNK_WINDOWS), _usable_cpus())
+    n_pulses = int(cfg.n_pulses)  # McConfig also takes whole floats and numpy integers
+    workers = min(-(-n_pulses // CHUNK_WINDOWS), _usable_cpus())
 
     def stride(first: int) -> tuple[int, int]:
         # chunks first, first + workers, ...: all chunks but the last are equal,
         # and a worker holds one chunk at a time however many there are
         clicks = 0
         errors = 0
-        for j, n in islice(_chunks(cfg.n_pulses), first, None, workers):
+        for j, n in islice(_chunks(n_pulses), first, None, workers):
             k, e = _chunk_counts(cfg, intercept, stats, j, n)
             clicks += k
             errors += e
@@ -226,9 +227,7 @@ def _sample(cfg: McConfig, intercept: bool) -> McResult:
 
         with ThreadPoolExecutor(workers) as pool:
             totals = list(pool.map(stride, range(workers)))
-    return McResult.from_counts(
-        cfg.n_pulses, sum(k for k, _ in totals), sum(e for _, e in totals)
-    )
+    return McResult.from_counts(n_pulses, sum(k for k, _ in totals), sum(e for _, e in totals))
 
 
 def simulate_link(cfg: McConfig) -> McResult:

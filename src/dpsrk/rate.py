@@ -143,11 +143,6 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
     )
 
 
-def bb84_reference(s: LinkScenario) -> float:
-    """Ideal single-photon BB84 comparison rate ``nu p_signal / 2``."""
-    return 0.5 * s.clock_hz * link.channel_stats(s).p_signal
-
-
 def asymptotic_rate(s: LinkScenario, a: AttackModel) -> float:
     """Small-error hybrid-attack asymptote, for cross-validation only.
 

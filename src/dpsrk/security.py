@@ -16,12 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .detector import DetectorSpec
-from .errors import (
-    AboveCorrectionRangeError,
-    InsecureChannelError,
-    ModelDomainError,
-    UndefinedQBERError,
-)
+from .errors import ModelDomainError
 
 
 class AttackModel(enum.Enum):
@@ -80,8 +75,8 @@ def f_ec(table: ECTable, e: float) -> float:
     Piecewise-linear between breakpoints, constant below the first one.
 
     Raises:
-        AboveCorrectionRangeError: ``e`` beyond the last breakpoint; callers
-            treat the operating point as yielding no key.
+        ModelDomainError: ``e`` is negative or beyond the last breakpoint;
+            ``secure_rate`` flags the latter as yielding no key.
     """
     if e < 0.0:
         raise ModelDomainError(f"error rate must be >= 0, got {e}")
@@ -89,7 +84,7 @@ def f_ec(table: ECTable, e: float) -> float:
     if e <= points[0][0]:
         return points[0][1]
     if e > points[-1][0]:
-        raise AboveCorrectionRangeError(
+        raise ModelDomainError(
             f"error rate {e} exceeds the correction table range (max {points[-1][0]})"
         )
     # (e,) sorts before every breakpoint (e, f), so this is bisect_left on the e column
@@ -142,9 +137,12 @@ def single_photon_fraction(p_click: float, p_m: float) -> float:
 
     May be <= 0 when multiphoton pulses dominate; callers must treat that as
     insecure against photon-number splitting.
+
+    Raises:
+        ModelDomainError: ``p_click`` is not positive.
     """
     if p_click <= 0.0:
-        raise UndefinedQBERError("single-photon fraction undefined at zero click probability")
+        raise ModelDomainError("single-photon fraction undefined at zero click probability")
     return _single_photon_fraction(p_click, p_m)
 
 
@@ -157,11 +155,13 @@ def shrink_individual(e: float, beta: float, memory: bool) -> float:
     leaves no secret bits.  The bound's log argument rises to 1 (tau = 0) at
     ``e / beta = 1/2`` with memory and ``e / (1 + beta) = 1/4`` without, and
     turns back down beyond; there tau stays 0.
+
+    Raises:
+        ModelDomainError: ``beta`` is not in (0, 1], which at ``beta <= 0``
+            means no secure key against PNS, or ``e`` is negative.
     """
     if beta <= 0.0:
-        raise InsecureChannelError(
-            f"single-photon fraction {beta} <= 0: no secure key against PNS"
-        )
+        raise ModelDomainError(f"single-photon fraction {beta} <= 0: no secure key against PNS")
     if beta > 1.0:
         raise ModelDomainError(f"single-photon fraction must be <= 1, got {beta}")
     if e < 0.0:

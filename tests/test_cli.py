@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpsrk import scenario as scenario_module
-from dpsrk.cli import CSV_HEADER, _integer, _point_row, _point_values, build_parser, main
+from dpsrk.cli import CSV_HEADER, _integer, _point_row, _print_point, build_parser, main
 from dpsrk.presets import load_presets
 from dpsrk.rate import RatePoint, secure_rate
 from dpsrk.scenario import KNOWN_KEYS, parse_scenario
@@ -770,23 +770,27 @@ _flag_sets = st.frozensets(
 
 
 class TestPointRow:
-    """The CSV row is the text view's values joined, without its name pairs."""
+    """The CSV row holds each value's repr and then the sorted flags; the text view shows it."""
 
     @given(
         values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=10, max_size=10),
         flags=_flag_sets,
     )
-    def test_matches_point_values(self, values, flags):
-        point = RatePoint(*values, flags)
-        assert _point_row(point) == ",".join(v for _, v in _point_values(point))
+    def test_fields_are_values_then_sorted_flags(self, values, flags):
+        row = _point_row(RatePoint(*values, flags))
+        assert row.split(",") == [repr(float(v)) for v in values] + ["|".join(sorted(flags))]
 
-    def test_nan_f_and_empty_flags(self):
+    def test_nan_f_and_empty_flags(self, capsys):
         base, attack = load_presets()["fig3"].scenario("si", length_km=10.0)
         above = secure_rate(replace(base, baseline_error=0.2), attack)
         secure = secure_rate(base, attack)
         assert math.isnan(above.f_used) and secure.flags == frozenset()
         for point in (above, secure):
-            assert _point_row(point) == ",".join(v for _, v in _point_values(point))
+            _print_point(point)
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 12 and lines[-1].split()[0] == "secure"
+            shown = [line.split()[1] for line in lines[:11]]
+            assert ",".join("" if v == "-" else v for v in shown) == _point_row(point)
         assert _point_row(secure).endswith(",")
 
 

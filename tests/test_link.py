@@ -88,6 +88,14 @@ class TestQber:
         s = si_scenario(detector=toy_detector(efficiency=0.3))
         assert channel_stats(s).qber == pytest.approx(s.baseline_error, rel=1e-15)
 
+    # b p / p rounds below b: to 0.2499999999999989 at the subnormal signal,
+    # and to 0.09999999999999999 at the other
+    @pytest.mark.parametrize("efficiency, b", [(2.225073858507203e-309, 0.25), (0.35, 0.1)])
+    def test_no_dark_is_exactly_baseline(self, efficiency, b):
+        s = si_scenario(length_km=0.0, mu=1.0, baseline_error=b,
+                        detector=toy_detector(efficiency=efficiency))
+        assert channel_stats(s).qber == b
+
     def test_fig3_si_at_200km(self):
         qber = channel_stats(si_scenario(200.0)).qber
         assert qber == pytest.approx(0.02227931240729725, rel=1e-12)

@@ -100,6 +100,17 @@ class TestSimulateLink:
         assert (result.clicks, result.errors, result.p_click_hat) == (0, 0, 0.0)
         assert math.isnan(result.qber_hat)
 
+    @pytest.mark.parametrize("simulate", [simulate_link, simulate_intercept_resend])
+    @pytest.mark.parametrize(
+        "n_pulses", [4.0 * CHUNK_WINDOWS, 3.0, np.int64(5), np.uint64(7)],
+        ids=["float_chunks", "float", "int64", "uint64"],
+    )
+    def test_whole_non_int_count_samples_as_its_int(self, simulate, n_pulses):
+        kw = dict(scenario=si_scenario(0.0), seed=1)
+        result = simulate(McConfig(n_pulses=n_pulses, **kw))
+        assert result == simulate(McConfig(n_pulses=int(n_pulses), **kw))
+        assert type(result.n_windows) is int
+
     def test_standard_error_halves_when_n_quadruples(self):
         base = McConfig(scenario=si_scenario(50.0), n_pulses=100_000, seed=21)
         quad = McConfig(scenario=si_scenario(50.0), n_pulses=400_000, seed=22)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import dpsrk
 from dpsrk import link, security
 from dpsrk.detector import DetectorSpec
-from dpsrk.errors import AboveCorrectionRangeError, ModelDomainError, NoSecureDistanceError
+from dpsrk.errors import ModelDomainError, NoSecureDistanceError
 from dpsrk.link import ChannelStats, LinkScenario, channel_stats
 from dpsrk.presets import load_presets
 from dpsrk.rate import (
@@ -20,7 +20,6 @@ from dpsrk.rate import (
     RatePoint,
     _dead_time_exponent,
     asymptotic_rate,
-    bb84_reference,
     binary_entropy,
     max_secure_distance,
     optimize_mu,
@@ -180,25 +179,6 @@ class TestDeadTimeFactor:
         assert FLAG_DEADTIME_LIMITED in point.flags
         far = secure_rate(si_scenario(200.0), HYBRID_NOMEM)
         assert FLAG_DEADTIME_LIMITED not in far.flags
-
-
-class TestBB84Reference:
-    def test_zero_signal(self):
-        dead = DetectorSpec(
-            name="dead", efficiency=0.0, dark_per_window=1e-8, dead_time=0.0,
-            receiver_loss_db=0.0,
-        )
-        assert bb84_reference(si_scenario(detector=dead)) == 0.0
-
-    def test_value(self):
-        s = si_scenario(100.0)
-        expected = 0.5 * 1e9 * channel_stats(s).p_signal
-        assert bb84_reference(s) == expected
-
-    def test_linear_in_efficiency(self):
-        s = si_scenario(100.0)
-        halved = replace(s, detector=replace(SI, efficiency=SI.efficiency / 2.0))
-        assert bb84_reference(halved) == bb84_reference(s) / 2.0
 
 
 class TestAsymptoticRate:
@@ -513,7 +493,7 @@ def reference_secure_rate(s, a, *, f_fixed=None):
                 tau = security.shrink_individual(e, beta, a.memory)
         try:
             f_used = security.f_ec(CASCADE_EC_TABLE, e) if f_fixed is None else f_fixed
-        except AboveCorrectionRangeError:
+        except ModelDomainError:
             flags.add(FLAG_ABOVE_EC_RANGE)
         else:
             r = secure_rate_from_parts(s.clock_hz, p_click, e, tau, f_used)
@@ -622,6 +602,31 @@ class TestBitIdentity:
         assert bits(point) == bits(reference_secure_rate(s, attack))
         assert (FLAG_ABOVE_EC_RANGE in point.flags) == above
         assert math.isnan(point.f_used) == above
+
+
+class TestChainProperties:
+    """Bounds that hold at every layer of the chain, and the rate's fall with length."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=link_scenarios,
+        attack=st.sampled_from(ATTACKS),
+        f_fixed=st.one_of(st.none(), st.floats(1.0, 2.0)),
+        step_km=st.floats(0.0, 50.0),
+    )
+    # no dark counts and a subnormal signal: b p / p rounds below b
+    @example(s=link_scenario(1.0, 2.225073858507203e-309, 0.0, 0.0, 0.0, 0.25, 1e10, 0.0, None, 1),
+             attack=HYBRID_NOMEM, f_fixed=None, step_km=0.0)
+    def test_bounds_and_monotone_in_length(self, s, attack, f_fixed, step_km):
+        point = secure_rate(s, attack, f_fixed=f_fixed)
+        assert 0.0 <= point.tau <= 1.0
+        if point.p_click > 0.0:
+            assert s.baseline_error <= point.qber <= 0.5
+        if point.secure_rate_hz > 0.0:
+            assert point.secure_rate_deadtime_hz <= point.secure_rate_hz <= point.sifted_rate_hz
+        farther = replace(s, length_km=s.length_km + step_km)
+        rate = secure_rate(farther, attack, f_fixed=f_fixed).secure_rate_hz
+        assert rate <= point.secure_rate_hz * (1.0 + 1e-12)
 
 
 finite = st.floats(-1e3, 1e3)

@@ -2,12 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from dpsrk.errors import (
-    AboveCorrectionRangeError,
-    InsecureChannelError,
-    ModelDomainError,
-    UndefinedQBERError,
-)
+from dpsrk.errors import ModelDomainError
 from dpsrk.link import channel_stats
 from dpsrk.security import (
     CASCADE_EC_TABLE,
@@ -59,7 +54,7 @@ class TestSinglePhotonFraction:
         assert beta < 0.0
 
     def test_zero_click_undefined(self):
-        with pytest.raises(UndefinedQBERError):
+        with pytest.raises(ModelDomainError, match="undefined at zero click probability"):
             single_photon_fraction(0.0, 0.1)
 
 
@@ -81,9 +76,9 @@ class TestShrinkIndividual:
         assert shrink_individual(0.5, 1.0, memory=True) == 0.0
 
     def test_insecure_beta_rejected(self):
-        with pytest.raises(InsecureChannelError):
+        with pytest.raises(ModelDomainError, match="no secure key against PNS"):
             shrink_individual(0.01, 0.0, memory=True)
-        with pytest.raises(InsecureChannelError):
+        with pytest.raises(ModelDomainError, match="no secure key against PNS"):
             shrink_individual(0.01, -0.2, memory=False)
 
     @pytest.mark.parametrize("memory, e", [(True, 0.12), (False, 0.36)])
@@ -215,7 +210,7 @@ class TestErrorCorrectionTable:
         assert f_ec(CASCADE_EC_TABLE, 0.005) == 1.16
 
     def test_above_range(self):
-        with pytest.raises(AboveCorrectionRangeError):
+        with pytest.raises(ModelDomainError, match="exceeds the correction table range"):
             f_ec(CASCADE_EC_TABLE, 0.151)
 
     def test_negative_rejected(self):
