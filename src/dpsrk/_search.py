@@ -4,6 +4,7 @@ The optimizers scan a coarse grid first because their objectives are not
 unimodal over a wide range (the NEP has one minimum per efficiency fringe;
 the secure rate can bend once dead time matters), then refine the bracket
 around the best grid point.  Both score their grid in one numpy pass first
+(``detector._nep_grid`` and ``rate._grid_rates``, each beside its solver)
 and hand ``grid_bracket`` only the points ``first_min_candidates`` keeps, so
 the scalar objective scores a handful of grid points instead of all of them.
 """
@@ -14,6 +15,11 @@ import math
 from typing import Callable, Iterable
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# How far, relative to the scale each screen passes, a scalar objective may
+# lie from its numpy pass's value.  The two differ only by the rounding of
+# numpy's transcendental functions; the tests hold them to 1e-12.
+SCREEN_SLACK = 1e-9
 
 
 def grid_bracket(

@@ -371,24 +371,20 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_presets(args) -> int:
+    # "list" is the only action the parser accepts
     registry = load_presets()
-    if args.action == "list":
-        header = (
-            f"{'name':<8}{'mu':<7}{'nu_hz':<9}{'b':<6}{'f':<6}"
-            f"{'alpha':<7}{'n_set':<12}detectors"
+    print(f"{'name':<8}{'mu':<7}{'nu_hz':<9}{'b':<6}{'f':<6}{'alpha':<7}{'n_set':<12}detectors")
+    for preset in registry.values():
+        n_set = ",".join(str(n) for n in preset.n_set)
+        detectors = " ".join(
+            f"{name}(eta={spec.efficiency},d={spec.dark_per_window})"
+            for name, spec in preset.detectors.items()
         )
-        print(header)
-        for preset in registry.values():
-            n_set = ",".join(str(n) for n in preset.n_set)
-            detectors = " ".join(
-                f"{name}(eta={spec.efficiency},d={spec.dark_per_window})"
-                for name, spec in preset.detectors.items()
-            )
-            print(
-                f"{preset.name:<8}{preset.mu:<7g}{preset.clock_hz:<9g}"
-                f"{preset.baseline_error:<6g}{preset.f:<6g}"
-                f"{preset.alpha_db_per_km:<7g}{n_set:<12}{detectors}"
-            )
+        print(
+            f"{preset.name:<8}{preset.mu:<7g}{preset.clock_hz:<9g}"
+            f"{preset.baseline_error:<6g}{preset.f:<6g}"
+            f"{preset.alpha_db_per_km:<7g}{n_set:<12}{detectors}"
+        )
     return 0
 
 

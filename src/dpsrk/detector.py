@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._search import first_min_candidates, golden_min, grid_bracket
+from ._search import SCREEN_SLACK, first_min_candidates, golden_min, grid_bracket
 from .errors import ModelDomainError
 
 # Pump powers (mW) the fitted curves are trusted on.  The quartic dark-rate
@@ -25,10 +25,6 @@ SUPPORTED_PUMP_MAX_MW = 30.0
 
 # Steps of optimize_pump's pump grid, which has one point more.
 _PUMP_GRID_STEPS = 2048
-
-# How far, relative to itself, the scalar NEP may lie from _nep_grid's.  They
-# differ only by the rounding of numpy's sin; the tests hold them to 1e-12.
-_NEP_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -208,17 +204,17 @@ def up_efficiency(curve: UpConversionCurve, pump_mw: float) -> float:
 
 
 def up_dark_rate(curve: UpConversionCurve, pump_mw: float) -> float:
-    """Dark-count rate in 1/s at pump ``p`` mW (quartic fit).
+    """Dark-count rate in 1/s at pump ``p`` mW (quartic fit), clamped below at 0.
+
+    Construction has proved the fit non-negative on the supported domain, so
+    a negative value is rounding where the fit touches 0.
 
     Raises:
-        ModelDomainError: ``p`` is outside the supported domain, or the fit
-            is negative there.
+        ModelDomainError: ``p`` is outside the supported domain.
     """
     _check_pump(pump_mw)
     rate = _dark_poly(curve, pump_mw)
-    if rate < 0.0:
-        raise ModelDomainError(f"dark-rate fit is negative ({rate}) at pump {pump_mw} mW")
-    return rate
+    return rate if rate > 0.0 else 0.0
 
 
 def dark_per_window(
@@ -258,17 +254,17 @@ def _nep_grid(curve: UpConversionCurve, pumps):
     """The NEP at each pump of the numpy array ``pumps``, as one array pass.
 
     Where the scalar objective of ``optimize_pump`` scores a pump, this is its
-    value up to numpy's rounding: inf where the efficiency is 0, and NaN
-    where the dark-rate fit is negative.
+    value up to numpy's rounding, and inf where the efficiency is 0.  The
+    dark rate is clamped at 0 as ``up_dark_rate`` clamps it.
     """
     import numpy as np
 
     eta = _efficiency(curve, pumps, np.sin, np.sqrt)
     # x/0 and 0/0 where the efficiency is 0, and overflow to inf where it is
-    # subnormal (as 1.0 / 5e-324 is inf in Python); the root of a negative
-    # dark rate is NaN
+    # subnormal (as 1.0 / 5e-324 is inf in Python)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(eta > 0.0, _nep(_dark_poly(curve, pumps), eta, np.sqrt), np.inf)
+        dark = np.maximum(_dark_poly(curve, pumps), 0.0)
+        return np.where(eta > 0.0, _nep(dark, eta, np.sqrt), np.inf)
 
 
 def optimize_pump(
@@ -283,13 +279,11 @@ def optimize_pump(
 
     The grid is screened in one numpy pass; the scalar objective then
     re-scores the points that may hold its minimum, so the bracket and p*
-    are those of a scalar scan.  Where the pass finds a negative dark rate,
-    the scalar objective scans the whole grid as the screen's fallback.
+    are those of a scalar scan.
 
     Raises:
         ModelDomainError: If the range is empty or leaves the supported
-            domain, the efficiency is zero over the whole range, or the
-            dark-rate fit is negative at a pump the search scores.
+            domain, or the efficiency is zero over the whole range.
     """
     lo, hi = pump_range
     if lo > hi:
@@ -313,11 +307,9 @@ def optimize_pump(
     n = _PUMP_GRID_STEPS
     # the same floats, in the same arithmetic, as grid_bracket's points
     neps = _nep_grid(curve, lo + (hi - lo) * np.arange(n + 1) / n)
-    indices = None  # a NaN (negative dark rate) leaves the scan to raise as it always has
-    if not np.isnan(neps).any():
-        # inf - inf at a zero-efficiency point is NaN, which is never kept
-        with np.errstate(invalid="ignore"):
-            indices = first_min_candidates(neps, _NEP_SLACK * neps)
+    # inf - inf at a zero-efficiency point is NaN, which is never kept
+    with np.errstate(invalid="ignore"):
+        indices = first_min_candidates(neps, SCREEN_SLACK * neps)
     a, b, best = grid_bracket(objective, lo, hi, n, indices)
     if not math.isfinite(best):
         raise ModelDomainError(f"efficiency is zero over the whole pump range [{lo}, {hi}]")

@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from . import link, security
-from ._search import golden_min, grid_bracket
+from ._search import SCREEN_SLACK, first_min_candidates, golden_min, grid_bracket
 from .errors import ModelDomainError, NoSecureDistanceError
 from .link import LinkScenario, _trial_scenario
 from .security import CASCADE_EC_TABLE, AttackModel
@@ -90,6 +90,47 @@ def _dead_time_exponent(s: LinkScenario, p_click):
     ``p_click`` may be an array.
     """
     return s.effective_dead_time_delta * s.clock_hz * p_click * s.detector.dead_time
+
+
+def _grid_rates(s: LinkScenario, a: AttackModel, mus, f_fixed: float | None = None):
+    """Dead-time-corrected secure rate before its clamp at 0, and sifted rate, per mu.
+
+    ``mus`` is a numpy array, and ``s.mu`` is ignored in favour of it.  The
+    pass uses the chain's own formulas, with masks where the scalar chain
+    branches, so it differs from ``secure_rate`` only by the rounding of
+    numpy's exp, expm1, log2 and interp.  Wherever ``secure_rate`` runs the
+    rate formula, the first array is that formula's value, so its positive
+    part is ``secure_rate_deadtime_hz``.  It is 0 where nothing clicks and
+    -inf where the QBER is above the correction table.
+    """
+    import numpy as np
+
+    raw_signal, dark, raw_click, errors = link._click_terms(s, mus)
+    p_signal = np.minimum(raw_signal, 1.0)
+    p_click = np.minimum(raw_click, 1.0)
+    # Masked-out lanes may divide by zero, overflow or take log2 of a non-positive number.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = np.where(dark == 0.0, s.baseline_error, errors / raw_click)
+        if a.hybrid:
+            gamma = np.maximum(
+                0.0, security._surviving_fraction(mus, p_signal, s.delay_n, a.memory)
+            )
+            tau = np.maximum(0.0, gamma - security._hybrid_penalty(e, s.delay_n))
+        else:
+            p_m = security._multiphoton(mus, np.exp, np.expm1)
+            beta = security._single_photon_fraction(p_click, p_m)
+            ratio, turn, arg, scale = security._collision_bound(e, beta, a.memory)
+            tau = np.where(
+                (beta > 0.0) & (ratio < turn), np.maximum(0.0, -scale * np.log2(arg)), 0.0
+            )
+        h = np.where(e > 0.0, _entropy(e, np.log2), 0.0)
+        f = np.interp(e, *zip(*CASCADE_EC_TABLE.points)) if f_fixed is None else f_fixed
+        sifted = s.clock_hz * p_click
+        rates = sifted * (tau - f * h) * np.exp(-_dead_time_exponent(s, p_click))
+    if f_fixed is None:
+        rates[e > _EC_E_MAX] = -np.inf
+    rates[p_click == 0.0] = 0.0
+    return rates, sifted
 
 
 def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None) -> RatePoint:
@@ -179,7 +220,7 @@ def optimize_mu(
     lo, hi = mu_range
     if not 0.0 < lo < hi <= 1.0:
         raise ModelDomainError(f"mu range must satisfy 0 < lo < hi <= 1, got [{lo}, {hi}]")
-    from ._rate_grid import candidates  # loads numpy
+    import numpy as np  # the grid screen; importing this module loads no numpy
 
     def point(mu: float) -> RatePoint:
         return secure_rate(_trial_scenario(s, mu, s.length_km), a, f_fixed=f_fixed)
@@ -188,7 +229,11 @@ def optimize_mu(
         return -point(mu).secure_rate_deadtime_hz
 
     n = _MU_GRID_STEPS
-    a_mu, b_mu, best = grid_bracket(loss, lo, hi, n, candidates(s, a, lo, hi, n, f_fixed))
+    # the same floats, in the same arithmetic, as grid_bracket's points
+    rates, sifted = _grid_rates(s, a, lo + (hi - lo) * np.arange(n + 1) / n, f_fixed)
+    # the scalar scan minimizes the rate clamped at 0, so only a positive rate can win
+    indices = first_min_candidates(-rates, SCREEN_SLACK * sifted, ceiling=0.0)
+    a_mu, b_mu, best = grid_bracket(loss, lo, hi, n, indices)
     if -best <= 0.0:
         return lo, point(lo)
     mu_star = golden_min(loss, a_mu, b_mu, 1e-5)

@@ -94,7 +94,7 @@ def f_ec(table: ECTable, e: float) -> float:
 
 
 # The private helpers below hold the formulas that the scalar functions and
-# the array pass in ``_rate_grid`` share.  Their arguments may be floats or
+# the array pass ``rate._grid_rates`` share.  Their arguments may be floats or
 # numpy arrays; the transcendental functions are passed in for the same reason.
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpsrk import scenario as scenario_module
 from dpsrk.cli import CSV_HEADER, _integer, _point_row, _print_point, build_parser, main
-from dpsrk.presets import load_presets
+from dpsrk.presets import load_presets, preset_directory
 from dpsrk.rate import RatePoint, secure_rate
 from dpsrk.scenario import KNOWN_KEYS, parse_scenario
 from dpsrk.security import AttackModel
@@ -26,6 +27,22 @@ def basic_scenario_path(tmp_path):
 def upconv_scenario_path(tmp_path):
     path = tmp_path / "upconv.scn"
     path.write_text(UPCONV)
+    return str(path)
+
+
+@pytest.fixture
+def touching_scenario_path(tmp_path):
+    # a dark-rate fit that touches 0 at the scenario's pump, where it rounds
+    # to -5.7e-14; construction accepts it, so every command must run there
+    text = UPCONV
+    for key, value in (
+        ("b0", "266.0230429888968"), ("b1", "-150.79378586361153"),
+        ("b2", "21.369169376832698"), ("b3", "0"), ("b4", "0"),
+        ("pump_mw", "3.5283024624039445"),
+    ):
+        text = re.sub(rf"^upconv\.{key} = .*$", f"upconv.{key} = {value}", text, flags=re.M)
+    path = tmp_path / "touching.scn"
+    path.write_text(text)
     return str(path)
 
 
@@ -73,6 +90,28 @@ class TestRateCommand:
         s, a = load_presets()["fig3"].scenario("si", 100, "hybrid_nomem", 100.0)
         point = secure_rate(s, a)
         assert float(printed["secure_bps"]) == pytest.approx(point.secure_rate_hz, rel=1e-9)
+
+    def test_fixed_f_mode_defaults_to_the_preset_f(self, capsys, tmp_path, monkeypatch):
+        # every packaged preset has f = 1.16, the table's first overhead, so
+        # a preset with another f tells the two defaults apart
+        text = (preset_directory() / "fig3.preset").read_text()
+        (tmp_path / "fig3.preset").write_text(text.replace("f = 1.16", "f = 1.3"))
+        monkeypatch.setenv("DPSRK_PRESET_DIR", str(tmp_path))
+        rc, out, _ = run(capsys, "rate", "--preset", "fig3", "--f-mode", "fixed")
+        assert rc == 0
+        assert "f_used               1.3\n" in out
+
+    def test_fixed_f_mode_defaults_to_the_table_floor_for_a_scenario(
+        self, capsys, basic_scenario_path
+    ):
+        rc, out, _ = run(capsys, "rate", "--scenario", basic_scenario_path, "--f-mode", "fixed")
+        assert rc == 0
+        assert "f_used               1.16\n" in out
+
+    def test_dark_fit_touching_zero_at_the_pump(self, capsys, touching_scenario_path):
+        rc, out, err = run(capsys, "rate", "--scenario", touching_scenario_path)
+        assert (rc, err) == (0, "")
+        assert "p_dark               0.0\n" in out
 
     def test_csv_row_appended(self, capsys, tmp_path):
         csv_path = tmp_path / "points.csv"
@@ -367,6 +406,14 @@ class TestOptimizeCommands:
             capture_output=True, text=True,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_optimize_pump_dark_fit_touching_zero(self, capsys, touching_scenario_path):
+        rc, out, err = run(
+            capsys, "optimize-pump", "--scenario", touching_scenario_path,
+            "--lo", "3.028302462403944", "--hi", "4.0283024624039445",
+        )
+        assert (rc, err) == (0, "")
+        assert "dark_rate_hz     0.0\n" in out
 
     def test_optimize_pump_without_block(self, capsys, basic_scenario_path):
         rc, _, err = run(capsys, "optimize-pump", "--scenario", basic_scenario_path)
@@ -710,6 +757,23 @@ class TestUsage:
         assert rc == 1
         assert out == ""
         assert "--f-value only applies with --f-mode fixed" in err
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--preset", "fig3", "--axis", "distance", "--steps", "3",
+              "--lo", "5", "--hi", "5"],
+             "--lo must be < --hi"),
+            (["optimize-pump", "--lo", "0", "--hi", "0"],
+             "efficiency is zero at the degenerate pump range"),
+        ],
+        ids=["sweep-empty-range", "optimize-pump-zero-efficiency"],
+    )
+    def test_bad_range_exits_one(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert message in err
 
 
 class TestConsoleScript:

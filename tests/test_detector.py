@@ -2,7 +2,6 @@ import math
 import re
 import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -174,6 +173,19 @@ class TestNep:
         assert nep(dark + 1.0, eta) > nep(dark, eta)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: nep(-1.0, 0.5), "dark rate must be >= 0"),
+        (lambda: optimize_pump(CURVE, (0.0, 0.0)), "efficiency is zero at the degenerate"),
+    ],
+    ids=["nep-negative-dark", "pump-degenerate-zero-efficiency"],
+)
+def test_out_of_range_argument_raises(call, message):
+    with pytest.raises(ModelDomainError, match=message):
+        call()
+
+
 class TestOptimizePump:
     def test_matches_grid_oracle(self):
         # brute force over the same range at 1e5 points
@@ -255,6 +267,14 @@ pumps = st.floats(0.0, SUPPORTED_PUMP_MAX_MW)
 # (p - 0.005)^2 - 1e-5 is negative within 0.0032 mW of 0.005 mW
 DIP = dict(a1=0.465, a2=79.75, b0=1.5e-5, b1=-0.01, b2=1.0, b3=0.0, b4=0.0, bandwidth_hz=50e9)
 
+# 21.37 (p - 3.5283)^2: non-negative on the pump domain, and touching 0 at a
+# pump where the fit rounds to a negative number
+TOUCHING = dict(
+    a1=0.465, a2=79.75, b0=266.0230429888968, b1=-150.79378586361153,
+    b2=21.369169376832698, b3=0.0, b4=0.0, bandwidth_hz=50e9,
+)
+TOUCHING_PUMP = 3.5283024624039445
+
 
 class TestPumpGridScreen:
     @settings(max_examples=200, deadline=None)
@@ -293,15 +313,20 @@ class TestPumpGridScreen:
         # a few re-scored grid points, the golden-section search and the result
         assert len(calls) <= 40
 
-    def test_negative_dark_rate_raises_as_the_scalar_scan(self):
-        # UpConversionCurve rejects DIP, so this stand-in skips its check to
-        # reach the screen's fallback for a negative dark rate
-        dip = SimpleNamespace(**DIP)
-        assert math.isnan(_nep_grid(dip, np.array([0.005]))[0])
-        with pytest.raises(ModelDomainError) as want:
-            scalar_optimize_pump(dip, (0.0, 0.01))
-        with pytest.raises(ModelDomainError, match=f"^{re.escape(str(want.value))}$"):
-            optimize_pump(dip, (0.0, 0.01))
+    def test_dark_fit_touching_zero_is_clamped_at_zero(self):
+        # construction accepts the fit, which rounds to -5.7e-14 at its root
+        curve = UpConversionCurve(**TOUCHING)
+        assert detector._dark_poly(curve, TOUCHING_PUMP) < 0.0
+        assert up_dark_rate(curve, TOUCHING_PUMP) == 0.0
+        assert _nep_grid(curve, np.array([TOUCHING_PUMP]))[0] == 0.0
+        pump_range = (TOUCHING_PUMP - 0.5, TOUCHING_PUMP + 0.5)
+        assert repr(tuple(optimize_pump(curve, pump_range))) == repr(
+            scalar_optimize_pump(curve, pump_range)
+        )
+        spec = make_detector_from_upconversion(
+            curve, TOUCHING_PUMP, dead_time=45e-9, receiver_loss_db=2.1
+        )
+        assert spec.dark_per_window == 0.0
 
     def test_subnormal_pump_raises_no_warning(self):
         # the efficiency at 5e-324 mW is subnormal, so its NEP overflows to inf

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpsrk import rate
-from dpsrk._rate_grid import grid_rates
+from dpsrk.rate import _grid_rates
 from dpsrk._search import golden_min, grid_bracket
 from dpsrk.detector import DetectorSpec
 from dpsrk.link import LinkScenario
@@ -75,7 +75,7 @@ MUS = [1e-6, 1e-3, 0.01, 0.1, 0.3, 0.77, 1.0]
 @example(s=PAST_TURN, attack=IND_NOMEM, f_fixed=None, mus=MUS)
 @example(s=NO_CLICKS, attack=HYBRID_NOMEM, f_fixed=None, mus=MUS)
 def test_array_pass_agrees_with_scalar_chain(s, attack, f_fixed, mus):
-    rates, sifted = grid_rates(s, attack, np.array(mus), f_fixed)
+    rates, sifted = _grid_rates(s, attack, np.array(mus), f_fixed)
     for mu, r, sift in zip(mus, rates, sifted):
         point = secure_rate(replace(s, mu=mu), attack, f_fixed=f_fixed)
         assert sift == point.sifted_rate_hz
@@ -158,6 +158,6 @@ def test_scalar_chain_scores_only_the_bracket(monkeypatch):
 def test_rate_zero_below_the_clamp():
     # the array pass keeps the rate's sign where secure_rate clamps it at 0
     s = si_scenario(100.0)
-    rates, _ = grid_rates(s, IND_MEM, np.array([0.2]))
+    rates, _ = _grid_rates(s, IND_MEM, np.array([0.2]))
     assert secure_rate(s, IND_MEM).secure_rate_deadtime_hz == 0.0
     assert rates[0] < 0.0 and math.isfinite(rates[0])

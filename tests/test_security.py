@@ -244,6 +244,27 @@ class TestIrErrorFloor:
         assert 0.25 <= ir_error_floor(n) < 0.5
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: shrink_hybrid(0.01, 0.9, 0), "delay_n must be >= 1"),
+        (lambda: shrink_hybrid(0.01, 1.5, 100), "gamma must be in"),
+        (lambda: shrink_hybrid(0.6, 0.9, 100), "error rate must be in"),
+        (lambda: shrink_individual(0.01, 1.5, True), "single-photon fraction must be <= 1"),
+        (lambda: shrink_individual(-0.1, 0.9, True), "error rate must be >= 0"),
+        (lambda: ir_error_floor(0), "delay_n must be >= 1"),
+        (lambda: ECTable(((0.0, 1.16),)), "at least two breakpoints"),
+    ],
+    ids=[
+        "hybrid-delay-0", "hybrid-gamma", "hybrid-e", "individual-beta", "individual-e",
+        "ir-floor-delay-0", "ec-table-one-point",
+    ],
+)
+def test_out_of_range_argument_raises(call, message):
+    with pytest.raises(ModelDomainError, match=message):
+        call()
+
+
 class TestAttackModel:
     def test_memory_property(self):
         assert AttackModel.INDIVIDUAL_MEM.memory
