@@ -20,6 +20,7 @@ from .detector import (
     PPLN_UPCONVERTER,
     SUPPORTED_PUMP_MAX_MW,
     DarkConvention,
+    PumpOperatingPoint,
     UpConversionCurve,
     dark_per_window,
     make_detector_from_upconversion,
@@ -254,21 +255,10 @@ def _cmd_optimize_pump(args) -> int:
             raise UsageError("scenario file has no upconv block")
         curve = file_curve
     point = optimize_pump(curve, (args.lo, args.hi))
-    rows = [
-        ("pump_mw", _fmt(point.pump_mw)),
-        ("efficiency", _fmt(point.efficiency)),
-        ("dark_rate_hz", _fmt(point.dark_rate_hz)),
-        ("nep", _fmt(nep(point.dark_rate_hz, point.efficiency))),
-        (
-            "dark_per_window",
-            _fmt(
-                dark_per_window(
-                    point.dark_rate_hz, DarkConvention.PER_MODE, curve.bandwidth_hz
-                )
-            ),
-        ),
-    ]
-    _print_rows(rows)
+    dark = dark_per_window(point.dark_rate_hz, DarkConvention.PER_MODE, curve.bandwidth_hz)
+    values = (*point, nep(point.dark_rate_hz, point.efficiency), dark)
+    names = (*PumpOperatingPoint._fields, "nep", "dark_per_window")
+    _print_rows(list(zip(names, map(_fmt, values))))
     return 0
 
 
@@ -322,38 +312,20 @@ def _cmd_mc(args) -> int:
     else:
         z_q = 0.0
 
-    print(f"windows  {result.n_windows}")
-    print(f"clicks   {result.clicks}")
-    print(f"errors   {result.errors}")
-    header = f"{'quantity':<10}{'estimate':<24}{'std_error':<24}{'analytic':<24}{'z':<10}"
-    print(header)
-    print(
-        f"{'p_click':<10}{_fmt(result.p_click_hat):<24}"
-        f"{_fmt(result.p_click_se):<24}{_fmt(p_ref):<24}{z_p:<10.3f}"
-    )
-    print(
-        f"{'qber':<10}{_fmt(result.qber_hat):<24}"
-        f"{_fmt(result.qber_se):<24}{_fmt(q_ref):<24}{z_q:<10.3f}"
-    )
+    # (estimate, std error, analytic, z) per quantity, read by both the table and the CSV
+    quantities = {
+        "p_click": (result.p_click_hat, result.p_click_se, p_ref, z_p),
+        "qber": (result.qber_hat, result.qber_se, q_ref, z_q),
+    }
+    counts = {"windows": result.n_windows, "clicks": result.clicks, "errors": result.errors}
+    _print_rows([(name, str(count)) for name, count in counts.items()])
+    print(f"{'quantity':<10}{'estimate':<24}{'std_error':<24}{'analytic':<24}{'z':<10}")
+    for name, (estimate, se, analytic, z) in quantities.items():
+        print(f"{name:<10}{_fmt(estimate):<24}{_fmt(se):<24}{_fmt(analytic):<24}{z:<10.3f}")
     if args.csv:
-        row = ",".join(
-            [
-                args.mode,
-                str(cfg.n_pulses),
-                str(cfg.seed),
-                str(result.clicks),
-                str(result.errors),
-                _fmt(result.p_click_hat),
-                _fmt(result.p_click_se),
-                _fmt(p_ref),
-                _fmt(z_p),
-                _fmt(result.qber_hat),
-                _fmt(result.qber_se),
-                _fmt(q_ref),
-                _fmt(z_q),
-            ]
-        )
-        _emit_csv(args.csv, [MC_CSV_HEADER, row])
+        head = (args.mode, cfg.n_pulses, cfg.seed, result.clicks, result.errors)
+        values = [_fmt(v) for row in quantities.values() for v in row]
+        _emit_csv(args.csv, [MC_CSV_HEADER, ",".join([*map(str, head), *values])])
     bad = max(abs(z_p), abs(z_q))
     return 3 if bad > 5.0 else 0
 

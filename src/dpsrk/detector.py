@@ -299,7 +299,7 @@ def optimize_pump(
 
     if hi - lo < 1e-12:
         if up_efficiency(curve, lo) <= 0.0:
-            raise ModelDomainError(f"efficiency is zero at the degenerate pump range [{lo}, {lo}]")
+            raise ModelDomainError(f"efficiency is zero at the degenerate pump range [{lo}, {hi}]")
         return PumpOperatingPoint(lo, up_efficiency(curve, lo), up_dark_rate(curve, lo))
 
     import numpy as np  # the grid screen; importing this module loads no numpy

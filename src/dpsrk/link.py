@@ -88,8 +88,8 @@ class ChannelStats(NamedTuple):
 
     ``p_signal`` and ``p_click`` are clamped to 1 (``clamped`` records
     whether clamping occurred); ``qber`` is computed from the unclamped
-    values and is NaN when the click probability is zero.  Without dark
-    counts it is ``b`` exactly.
+    values and is NaN when the click probability is zero.  It is never below
+    ``b``, and without dark counts it is ``b`` exactly.
     """
 
     p_signal: float
@@ -115,10 +115,13 @@ def _click_terms(s: LinkScenario, mu):
 def channel_stats(s: LinkScenario) -> ChannelStats:
     raw_signal, dark, raw_click, errors = _click_terms(s, s.mu)
     clamped = raw_click > 1.0
+    # errors / raw_click, a mean of b and 1/2, can round below b: without dark
+    # counts it is b p / p, and with them the dark share can fall under b's last bit
     if dark > 0.0:  # then raw_click >= dark > 0
         qber = errors / raw_click
+        if qber < s.baseline_error:
+            qber = s.baseline_error
     else:
-        # errors / raw_click would be b p / p, which can round below b
         qber = s.baseline_error if raw_click > 0.0 else math.nan
     # conditional expressions in place of min(x, 1.0): the same value for NaN and -0.0
     p_signal = 1.0 if raw_signal > 1.0 else raw_signal

@@ -3,10 +3,11 @@
 This is a semiclassical per-window Bernoulli sampler, not a photonic state
 simulation: every measurement window independently draws a signal uniform
 and a dark uniform, and only the windows that clicked go on to draw an
-error uniform and, under intercept-resend, the attack and Bob-delay
-variates.  Its sole purpose is validating the probability composition of
-the analytic model (click probability, QBER and the intercept-resend error
-floor).
+error uniform and, when a fraction of windows is attacked, the attack and
+Bob-delay variates.  Its sole purpose is validating the probability
+composition of the analytic model (click probability, QBER and the
+intercept-resend error floor).  There is one sampling path and one
+expectation: the plain-link mode is intercept-resend at ``ir_fraction = 0``.
 
 Randomness comes from numpy's Philox 4x64 counter-based generator.  Windows
 are processed in fixed chunks of 2**20 and chunk ``j`` uses the substream
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -173,9 +174,7 @@ def _below(bits: np.random.BitGenerator, m: int, limit: np.uint64 | None, out) -
         np.less(words, limit, out=out)
 
 
-def _chunk_counts(
-    cfg: McConfig, intercept: bool, stats: link.ChannelStats, j: int, n: int
-) -> tuple[int, int]:
+def _chunk_counts(cfg: McConfig, stats: link.ChannelStats, j: int, n: int) -> tuple[int, int]:
     """(clicks, errors) of chunk ``j``, which holds ``n`` windows."""
     signal = _chunk_rng(cfg.seed, j).bit_generator  # the signal words
     tail = _chunk_rng(cfg.seed, j, skip=n)  # the dark words, then the per-click draws
@@ -194,8 +193,8 @@ def _chunk_counts(
     sig = np.concatenate(kept)  # from here on, one entry per clicked window
     k = sig.size
     threshold = np.where(sig, cfg.scenario.baseline_error, 0.5)
-    u = tail.random(k)  # before the attack draws: ir_fraction = 0 is the plain link
-    if intercept:
+    u = tail.random(k)  # before the attack draws, so skipping them at fraction 0 moves no count
+    if cfg.ir_fraction > 0.0:
         attacked_error = np.array(_attacked_error(cfg))
         attacked = tail.random(k) < cfg.ir_fraction
         bob_idx = tail.integers(0, attacked_error.size, size=k)
@@ -203,8 +202,8 @@ def _chunk_counts(
     return k, int(np.count_nonzero(u < threshold))
 
 
-def _sample(cfg: McConfig, intercept: bool) -> McResult:
-    """Count clicks and errors chunk by chunk for either sampling mode."""
+def _sample(cfg: McConfig) -> McResult:
+    """Count clicks and errors chunk by chunk."""
     stats = link.channel_stats(cfg.scenario)
     n_pulses = int(cfg.n_pulses)  # McConfig also takes whole floats and numpy integers
     workers = min(-(-n_pulses // CHUNK_WINDOWS), _usable_cpus())
@@ -215,7 +214,7 @@ def _sample(cfg: McConfig, intercept: bool) -> McResult:
         clicks = 0
         errors = 0
         for j, n in islice(_chunks(n_pulses), first, None, workers):
-            k, e = _chunk_counts(cfg, intercept, stats, j, n)
+            k, e = _chunk_counts(cfg, stats, j, n)
             clicks += k
             errors += e
         return clicks, errors
@@ -233,56 +232,56 @@ def _sample(cfg: McConfig, intercept: bool) -> McResult:
 def simulate_link(cfg: McConfig) -> McResult:
     """Sample clicks and errors for the plain (unattacked) link.
 
-    Every window draws a signal click with probability p_signal and a dark
-    click with probability p_dark independently; a window with both counts
-    as one click carrying the signal's bit value.  Only clicked windows draw
-    an error: signal clicks flip with the baseline error rate, dark-only
-    clicks with 1/2.  The overlap makes the click probability
+    This is :func:`simulate_intercept_resend` at ``ir_fraction = 0``; it
+    ignores ``cfg.ir_fraction``.  Every window draws a signal click with
+    probability p_signal and a dark click with probability p_dark
+    independently; a window with both counts as one click carrying the
+    signal's bit value.  Only clicked windows draw an error: signal clicks
+    flip with the baseline error rate, dark-only clicks with 1/2.  The
+    overlap makes the click probability
     ``1 - (1 - p_signal)(1 - p_dark)``, which :func:`link_expectation` uses,
     not the analytic model's sum ``p_signal + p_dark``.
     """
-    return _sample(cfg, intercept=False)
+    return _sample(replace(cfg, ir_fraction=0.0))
 
 
 def simulate_intercept_resend(cfg: McConfig) -> McResult:
     """Sample the link with a fraction of windows intercepted and resent.
 
     Every window draws its signal and dark click as in :func:`simulate_link`.
-    Only clicked windows draw the error, the attack and Bob's delay (uniform
-    over ``delay_choices``); Eve measures with fixed delay M.  Attacked
-    signal clicks with mismatched delay flip with the floor ``(1 - 1/2N)/2``.
-    With ``ir_fraction = 0`` this reduces exactly to :func:`simulate_link`.
+    Only clicked windows draw the error, then, when ``ir_fraction > 0``, the
+    attack and Bob's delay (uniform over ``delay_choices``); Eve measures
+    with fixed delay M.  Attacked signal clicks with mismatched delay flip
+    with the floor ``(1 - 1/2N)/2``.  At ``ir_fraction = 0`` no window is
+    attacked and this is the plain link of :func:`simulate_link`.
     """
-    return _sample(cfg, intercept=True)
-
-
-def _window_expectation(stats: link.ChannelStats, e_signal: float) -> tuple[float, float]:
-    """Exact (p_click, qber) of the per-window sampler.
-
-    A window clicks unless both the signal and the dark draw miss; it
-    carries the signal's bit (error probability ``e_signal``) whenever the
-    signal fired, and a random bit on a dark-only click.
-    """
-    p_click = 1.0 - (1.0 - stats.p_signal) * (1.0 - stats.p_dark)
-    if not p_click > 0.0:
-        return p_click, math.nan
-    p_error = e_signal * stats.p_signal + 0.5 * (1.0 - stats.p_signal) * stats.p_dark
-    return p_click, p_error / p_click
+    return _sample(cfg)
 
 
 def link_expectation(cfg: McConfig) -> tuple[float, float]:
-    """Exact (p_click, qber) the plain-link simulation converges to."""
-    return _window_expectation(link.channel_stats(cfg.scenario), cfg.scenario.baseline_error)
+    """Exact (p_click, qber) the plain-link simulation converges to.
+
+    This is :func:`intercept_resend_expectation` at ``ir_fraction = 0``,
+    where the signal-click error probability is the baseline error exactly.
+    """
+    return intercept_resend_expectation(replace(cfg, ir_fraction=0.0))
 
 
 def intercept_resend_expectation(cfg: McConfig) -> tuple[float, float]:
-    """Exact (p_click, qber) for the intercept-resend mode.
+    """Exact (p_click, qber) of the per-window sampler.
 
-    The per-window error probability on signal clicks averages the floor
-    over Bob's delay choices that mismatch Eve's, weighted by the attacked
-    fraction.
+    A window clicks unless both the signal and the dark draw miss; it
+    carries the signal's bit whenever the signal fired, and a random bit on
+    a dark-only click.  A signal click's error probability averages the
+    floor over Bob's delay choices that mismatch Eve's, weighted by the
+    attacked fraction.
     """
+    stats = link.channel_stats(cfg.scenario)
     b = cfg.scenario.baseline_error
     per_choice = _attacked_error(cfg)
     e_sig = (1.0 - cfg.ir_fraction) * b + cfg.ir_fraction * sum(per_choice) / len(per_choice)
-    return _window_expectation(link.channel_stats(cfg.scenario), e_sig)
+    p_click = 1.0 - (1.0 - stats.p_signal) * (1.0 - stats.p_dark)
+    if not p_click > 0.0:
+        return p_click, math.nan
+    p_error = e_sig * stats.p_signal + 0.5 * (1.0 - stats.p_signal) * stats.p_dark
+    return p_click, p_error / p_click

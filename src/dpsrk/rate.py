@@ -110,7 +110,9 @@ def _grid_rates(s: LinkScenario, a: AttackModel, mus, f_fixed: float | None = No
     p_click = np.minimum(raw_click, 1.0)
     # Masked-out lanes may divide by zero, overflow or take log2 of a non-positive number.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        e = np.where(dark == 0.0, s.baseline_error, errors / raw_click)
+        e = np.where(
+            dark == 0.0, s.baseline_error, np.maximum(errors / raw_click, s.baseline_error)
+        )
         if a.hybrid:
             gamma = np.maximum(
                 0.0, security._surviving_fraction(mus, p_signal, s.delay_n, a.memory)

@@ -508,6 +508,21 @@ class TestMcCommand:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("mode", ["link", "ir"])
+    def test_no_clicks_exits_zero(self, capsys, tmp_path, mode):
+        # nothing clicks: the analytic QBER is NaN and neither z-score is tested
+        path = tmp_path / "dead.scn"
+        path.write_text(
+            BASIC.replace("detector.efficiency = 0.35", "detector.efficiency = 0.0")
+            .replace("detector.dark_per_window = 3.5e-8", "detector.dark_per_window = 0.0")
+        )
+        rc, out, _ = run(capsys, "mc", "--scenario", str(path), "--mode", mode,
+                         "--pulses", "1000", "--seed", "2")
+        assert rc == 0
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+        assert rows["clicks"] == ["0"]
+        assert rows["p_click"][-1] == rows["qber"][-1] == "0.000"
+
 
 class TestPlotCommand:
     def _sweep_csv(self, tmp_path, capsys):
@@ -603,6 +618,13 @@ class TestBadInputFiles:
         rc, _, err = run(capsys, *argv)
         assert rc == 1
         assert err.startswith("error:") and "UTF-8" in err
+
+    def test_missing_key_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "nokey.scn"
+        path.write_text("= 0.2\n")
+        rc, out, err = run(capsys, "rate", "--scenario", str(path))
+        assert (rc, out) == (1, "")
+        assert "line 1, column 1: missing key before '='" in err
 
 
 def _file_bytes(line: st.SearchStrategy[str]) -> st.SearchStrategy[bytes]:
@@ -767,8 +789,10 @@ class TestUsage:
              "--lo must be < --hi"),
             (["optimize-pump", "--lo", "0", "--hi", "0"],
              "efficiency is zero at the degenerate pump range"),
+            (["optimize-pump", "--lo", "0", "--hi", "1e-300"],
+             "efficiency is zero at the degenerate pump range [0.0, 1e-300]"),
         ],
-        ids=["sweep-empty-range", "optimize-pump-zero-efficiency"],
+        ids=["sweep-empty-range", "optimize-pump-zero-efficiency", "optimize-pump-names-range"],
     )
     def test_bad_range_exits_one(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

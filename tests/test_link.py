@@ -96,6 +96,14 @@ class TestQber:
                         detector=toy_detector(efficiency=efficiency))
         assert channel_stats(s).qber == b
 
+    # a dark share below b's last bit leaves (p_dark/2 + b p) / (p + p_dark) a
+    # rounding under b: 0.09999999999999999 at the first point
+    @pytest.mark.parametrize("dark, b", [(1e-20, 0.1), (1e-300, 0.375)])
+    def test_negligible_dark_is_not_below_baseline(self, dark, b):
+        s = si_scenario(length_km=0.0, mu=0.7, baseline_error=b,
+                        detector=toy_detector(dark=dark))
+        assert channel_stats(s).qber == b
+
     def test_fig3_si_at_200km(self):
         qber = channel_stats(si_scenario(200.0)).qber
         assert qber == pytest.approx(0.02227931240729725, rel=1e-12)

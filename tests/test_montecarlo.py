@@ -100,6 +100,14 @@ class TestSimulateLink:
         assert (result.clicks, result.errors, result.p_click_hat) == (0, 0, 0.0)
         assert math.isnan(result.qber_hat)
 
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        # platforms without sched_getaffinity fall back to the CPU count
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cpus() == 1
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        assert montecarlo._usable_cpus() == 3
+
     @pytest.mark.parametrize("simulate", [simulate_link, simulate_intercept_resend])
     @pytest.mark.parametrize(
         "n_pulses", [4.0 * CHUNK_WINDOWS, 3.0, np.int64(5), np.uint64(7)],
@@ -329,6 +337,16 @@ class TestExpectations:
         p = 1.0 - (1.0 - p_s) * (1.0 - p_d)
         q = (b * p_s + 0.5 * (1.0 - p_s) * p_d) / p
         assert link_expectation(McConfig(scenario=s, n_pulses=10, seed=0)) == (p, q)
+
+    @pytest.mark.parametrize("expectation", [link_expectation, intercept_resend_expectation])
+    def test_no_clicks(self, expectation):
+        det = DetectorSpec(
+            name="dead", efficiency=0.0, dark_per_window=0.0, dead_time=0.0,
+            receiver_loss_db=0.0,
+        )
+        cfg = McConfig(scenario=si_scenario(detector=det), n_pulses=10, seed=0, ir_fraction=1.0)
+        p, q = expectation(cfg)
+        assert p == 0.0 and math.isnan(q)
 
     def test_ir_expectation_reduces_to_link_at_zero_fraction(self):
         cfg = McConfig(scenario=si_scenario(100.0), n_pulses=10, seed=0, ir_fraction=0.0)

@@ -541,7 +541,7 @@ link_scenarios = st.builds(
     link_scenario,
     mu=st.floats(1e-6, 2.0),
     eff=st.floats(0.0, 1.0),
-    dark=st.one_of(st.just(0.0), st.floats(1e-10, 0.2)),
+    dark=st.one_of(st.just(0.0), st.floats(1e-300, 1e-10), st.floats(1e-10, 0.2)),
     loss_db=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
     length=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
     b=st.one_of(st.just(0.0), st.floats(0.0, 0.49)),
@@ -616,6 +616,9 @@ class TestChainProperties:
     )
     # no dark counts and a subnormal signal: b p / p rounds below b
     @example(s=link_scenario(1.0, 2.225073858507203e-309, 0.0, 0.0, 0.0, 0.25, 1e10, 0.0, None, 1),
+             attack=HYBRID_NOMEM, f_fixed=None, step_km=0.0)
+    # dark counts far below the signal: the signal/dark mean of b and 1/2 rounds below b
+    @example(s=link_scenario(0.7, 1.0, 1e-20, 0.0, 0.0, 0.1, 1e10, 0.0, None, 1),
              attack=HYBRID_NOMEM, f_fixed=None, step_km=0.0)
     def test_bounds_and_monotone_in_length(self, s, attack, f_fixed, step_km):
         point = secure_rate(s, attack, f_fixed=f_fixed)

@@ -35,7 +35,7 @@ def scenario(eff, dark, loss_db, alpha, length, b, clock, dead_time, delta, dela
 scenarios = st.builds(
     scenario,
     eff=st.floats(0.0, 1.0),
-    dark=st.one_of(st.just(0.0), st.floats(1e-10, 0.2)),
+    dark=st.one_of(st.just(0.0), st.floats(1e-300, 1e-10), st.floats(1e-10, 0.2)),
     loss_db=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
     alpha=st.floats(0.0, 0.5),
     length=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
