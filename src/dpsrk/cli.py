@@ -97,9 +97,11 @@ def _load_source(
     """Resolve ``--scenario`` or ``--preset`` once, with the options the user gave.
 
     Returns the scenario at ``length_km``, its attack, the up-conversion
-    curve (None without an ``upconv`` block) and the preset's caption f
-    (None for a scenario file).  Commands derive their other points from
-    this scenario: ``link._trial_scenario`` for a new length or mu, and
+    curve (None without an ``upconv`` block) and the fixed error-correction
+    overhead: None with ``--f-mode table``, else ``--f-value``, else the
+    preset's caption f, else for a scenario file the table's floor f.
+    Commands derive their other points from this scenario:
+    ``link._trial_scenario`` for a new length or mu, and
     ``dataclasses.replace`` for a new detector.
     """
     if bool(args.scenario) == bool(args.preset):
@@ -113,7 +115,7 @@ def _load_source(
             raise UsageError("--detector only applies with --preset")
         sf = replace(parse_scenario(read_text(args.scenario)), **given)
         curve = sf.upconversion_curve()
-        build, caption_f = partial(sf.build_with, curve), None
+        build, default_f = partial(sf.build_with, curve), CASCADE_EC_TABLE.points[0][1]
     else:
         registry = load_presets()
         if args.preset not in registry:
@@ -121,19 +123,14 @@ def _load_source(
                 f"unknown preset '{args.preset}' (available: {', '.join(registry)})"
             )
         preset = registry[args.preset]
-        build, curve, caption_f = partial(preset.scenario, **given), None, preset.f
+        build, curve, default_f = partial(preset.scenario, **given), None, preset.f
     if need_curve and curve is None:
         raise UsageError("pump sweep needs a scenario with an upconv block")
-    return (*build(length_km=length_km), curve, caption_f)
-
-
-def _f_fixed(args, caption_f: float | None) -> float | None:
-    if args.f_mode != "fixed":
+    scenario, attack = build(length_km=length_km)
+    if args.f_mode == "table":
         _reject_given((("--f-value", args.f_value),), "only applies with --f-mode fixed")
-        return None
-    if args.f_value is not None:
-        return args.f_value
-    return caption_f if caption_f is not None else CASCADE_EC_TABLE.points[0][1]
+        return scenario, attack, curve, None
+    return scenario, attack, curve, default_f if args.f_value is None else args.f_value
 
 
 def _fmt(value: float) -> str:
@@ -178,8 +175,8 @@ def _emit_csv(path: str | None, lines: list[str]) -> None:
 
 
 def _cmd_rate(args) -> int:
-    scenario, attack, _curve, caption_f = _load_source(args, args.length)
-    point = rate.secure_rate(scenario, attack, f_fixed=_f_fixed(args, caption_f))
+    scenario, attack, _curve, f_fixed = _load_source(args, args.length)
+    point = rate.secure_rate(scenario, attack, f_fixed=f_fixed)
     _print_point(point)
     if args.csv:
         with open(args.csv, "a", newline="\n") as fh:
@@ -200,8 +197,7 @@ def _cmd_sweep(args) -> int:
         length = values[0]
     else:
         length = 0.0 if args.length is None else args.length
-    base, attack, curve, caption_f = _load_source(args, length, args.axis == "pump")
-    f_fixed = _f_fixed(args, caption_f)
+    base, attack, curve, f_fixed = _load_source(args, length, args.axis == "pump")
     lines = [CSV_HEADER]
     for value in values:
         if args.axis == "distance":
@@ -224,11 +220,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_max_distance(args) -> int:
-    scenario, attack, _curve, caption_f = _load_source(args, 0.0)
+    scenario, attack, _curve, f_fixed = _load_source(args, 0.0)
     try:
-        distance = rate.max_secure_distance(
-            scenario, attack, r_min=args.rmin, f_fixed=_f_fixed(args, caption_f)
-        )
+        distance = rate.max_secure_distance(scenario, attack, r_min=args.rmin, f_fixed=f_fixed)
     except NoSecureDistanceError:
         print("no secure distance", file=sys.stderr)
         return 2
@@ -237,10 +231,8 @@ def _cmd_max_distance(args) -> int:
 
 
 def _cmd_optimize_mu(args) -> int:
-    scenario, attack, _curve, caption_f = _load_source(args, args.length)
-    mu_star, point = rate.optimize_mu(
-        scenario, attack, (args.lo, args.hi), f_fixed=_f_fixed(args, caption_f)
-    )
+    scenario, attack, _curve, f_fixed = _load_source(args, args.length)
+    mu_star, point = rate.optimize_mu(scenario, attack, (args.lo, args.hi), f_fixed=f_fixed)
     print(f"optimal mu: {_fmt(mu_star)}")
     _print_point(point)
     return 0 if point.secure else 2
@@ -271,11 +263,6 @@ def _z_score(estimate: float, analytic: float, se: float) -> float:
 
 
 def _cmd_mc(args) -> int:
-    rate_options = (
-        ("--f-mode", args.f_mode), ("--f-value", args.f_value), ("--attack", args.attack),
-        ("--delta", args.delta),
-    )
-    _reject_given(rate_options, "does not apply to mc")
     if args.mode == "link":
         ir_options = (
             ("--ir-fraction", args.ir_fraction), ("--eve-m", args.eve_m), ("--bob-n", args.bob_n)
@@ -368,14 +355,16 @@ def _add_source_args(sp: argparse.ArgumentParser) -> None:
         help="detector variant for presets (default si)",
     )
     sp.add_argument("--n", type=_integer, default=None, help="interferometer delay N")
+
+
+def _add_chain_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--attack", choices=sorted(a.value for a in AttackModel), default=None,
         help="attack model (preset default hybrid_nomem)",
     )
     sp.add_argument("--delta", type=_finite_float, default=None,
                     help="dead-time exponent scale (default 1/2, half the clicks per detector)")
-    # default None, read as "table", so that mc can tell a given --f-mode
-    sp.add_argument("--f-mode", choices=("table", "fixed"), default=None,
+    sp.add_argument("--f-mode", choices=("table", "fixed"), default="table",
                     help="error-correction overhead: table interpolation or fixed value")
     sp.add_argument("--f-value", type=_finite_float, default=None,
                     help="overhead used with --f-mode fixed (default: preset f or 1.16)")
@@ -387,12 +376,14 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("rate", help="evaluate one operating point")
     _add_source_args(sp)
+    _add_chain_args(sp)
     sp.add_argument("--length", type=_finite_float, default=0.0, help="link length in km")
     sp.add_argument("--csv", metavar="PATH", help="append the point as a CSV row")
     sp.set_defaults(func=_cmd_rate)
 
     sp = sub.add_parser("sweep", help="sweep an axis and emit CSV")
     _add_source_args(sp)
+    _add_chain_args(sp)
     sp.add_argument("--axis", choices=("distance", "pump", "mu"), required=True)
     sp.add_argument("--lo", type=_finite_float, required=True)
     sp.add_argument("--hi", type=_finite_float, required=True)
@@ -404,12 +395,14 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("max-distance", help="largest secure distance")
     _add_source_args(sp)
+    _add_chain_args(sp)
     sp.add_argument("--rmin", type=_finite_float, default=0.0,
                     help="minimum acceptable rate in bit/s")
     sp.set_defaults(func=_cmd_max_distance)
 
     sp = sub.add_parser("optimize-mu", help="maximize the rate over mu")
     _add_source_args(sp)
+    _add_chain_args(sp)
     sp.add_argument("--length", type=_finite_float, default=0.0, help="link length in km")
     sp.add_argument("--lo", type=_finite_float, default=0.01)
     sp.add_argument("--hi", type=_finite_float, default=1.0)
@@ -435,7 +428,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--bob-n", metavar="N1,N2,...", type=_int_list, default=None,
                     help="Bob's random delay choices (ir mode only; default: scenario delay)")
     sp.add_argument("--csv", metavar="PATH", help="also write the result as CSV")
-    sp.set_defaults(func=_cmd_mc)
+    # mc reads no chain option; _load_source reads their no-value defaults
+    sp.set_defaults(func=_cmd_mc, attack=None, delta=None, f_mode="table", f_value=None)
 
     sp = sub.add_parser("plot", help="emit a plotting script for a sweep CSV")
     sp.add_argument("csv_path", metavar="CSV")

@@ -223,14 +223,15 @@ def dark_per_window(
     """Convert a dark-count rate to a per-window probability.
 
     Args:
-        dark_rate_hz: Dark counts per second, >= 0.
+        dark_rate_hz: Dark counts per second, finite and >= 0.
         convention: PER_MODE (divide by waveguide bandwidth) or PER_GATE
             (divide by the gate/bit rate).
         divisor_hz: The bandwidth or bit rate selected by ``convention``.
     """
-    if dark_rate_hz < 0.0:
-        raise ModelDomainError(f"dark rate must be >= 0, got {dark_rate_hz}")
-    if divisor_hz <= 0.0:
+    # written so that NaN fails each check
+    if not 0.0 <= dark_rate_hz < math.inf:
+        raise ModelDomainError(f"dark rate must be finite and >= 0, got {dark_rate_hz}")
+    if not divisor_hz > 0.0:
         name = "bandwidth" if convention is DarkConvention.PER_MODE else "bit rate"
         raise ModelDomainError(f"{name} must be > 0, got {divisor_hz}")
     return dark_rate_hz / divisor_hz
@@ -238,9 +239,9 @@ def dark_per_window(
 
 def nep(dark_rate_hz: float, efficiency: float) -> float:
     """Normalized noise-equivalent power ``sqrt(2 D) / eta`` (lower is better)."""
-    if efficiency <= 0.0:
+    if not efficiency > 0.0:  # written so that NaN fails it, as does the next
         raise ModelDomainError(f"efficiency must be > 0, got {efficiency}")
-    if dark_rate_hz < 0.0:
+    if not dark_rate_hz >= 0.0:
         raise ModelDomainError(f"dark rate must be >= 0, got {dark_rate_hz}")
     return _nep(dark_rate_hz, efficiency)
 

@@ -52,11 +52,14 @@ def render_plot_script(csv_path: str, csv_text: str) -> str:
     """Build the plotting script for one sweep CSV.
 
     Raises:
-        ScenarioParseError: The CSV has no header, rows of uneven width, no
-            rate column, or a non-numeric axis column and no series label.
+        ScenarioParseError: The CSV has a field the csv module cannot read,
+            no header, rows of uneven width, no rate column, or a
+            non-numeric axis column and no series label.
     """
-    reader = csv.reader(io.StringIO(csv_text))
-    table = list(reader)
+    try:
+        table = list(csv.reader(io.StringIO(csv_text)))
+    except csv.Error as exc:  # a field past the csv module's size limit
+        raise ScenarioParseError(f"{csv_path}: {exc}") from None
     if not table or not table[0]:
         raise ScenarioParseError(f"{csv_path}: empty file, expected a CSV header")
     header, rows = table[0], table[1:]

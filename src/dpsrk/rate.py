@@ -64,7 +64,7 @@ class RatePoint(NamedTuple):
 
 def binary_entropy(e: float) -> float:
     """Binary entropy in bits, with the continuous extension H(0) = H(1) = 0."""
-    if e < 0.0 or e > 1.0:
+    if not 0.0 <= e <= 1.0:
         raise ModelDomainError(f"entropy argument must be in [0, 1], got {e}")
     if e == 0.0 or e == 1.0:
         return 0.0

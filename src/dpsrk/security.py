@@ -75,10 +75,10 @@ def f_ec(table: ECTable, e: float) -> float:
     Piecewise-linear between breakpoints, constant below the first one.
 
     Raises:
-        ModelDomainError: ``e`` is negative or beyond the last breakpoint;
+        ModelDomainError: ``e`` is negative, NaN or beyond the last breakpoint;
             ``secure_rate`` flags the latter as yielding no key.
     """
-    if e < 0.0:
+    if not e >= 0.0:  # written so that NaN fails it too, as do the checks below
         raise ModelDomainError(f"error rate must be >= 0, got {e}")
     points = table.points
     if e <= points[0][0]:
@@ -127,8 +127,8 @@ def _hybrid_penalty(e, delay_n: int):
 
 def poisson_multiphoton(mu: float) -> float:
     """Probability ``1 - (1 + mu) e^-mu`` that a Poisson pulse has >= 2 photons."""
-    if mu < 0.0:
-        raise ModelDomainError(f"mu must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise ModelDomainError(f"mu must be finite and >= 0, got {mu}")
     return _multiphoton(mu)
 
 
@@ -141,7 +141,7 @@ def single_photon_fraction(p_click: float, p_m: float) -> float:
     Raises:
         ModelDomainError: ``p_click`` is not positive.
     """
-    if p_click <= 0.0:
+    if not p_click > 0.0:
         raise ModelDomainError("single-photon fraction undefined at zero click probability")
     return _single_photon_fraction(p_click, p_m)
 
@@ -162,9 +162,9 @@ def shrink_individual(e: float, beta: float, memory: bool) -> float:
     """
     if beta <= 0.0:
         raise ModelDomainError(f"single-photon fraction {beta} <= 0: no secure key against PNS")
-    if beta > 1.0:
+    if not beta <= 1.0:
         raise ModelDomainError(f"single-photon fraction must be <= 1, got {beta}")
-    if e < 0.0:
+    if not e >= 0.0:
         raise ModelDomainError(f"error rate must be >= 0, got {e}")
     ratio, turn, arg, scale = _collision_bound(e, beta, memory)
     if ratio >= turn:
@@ -179,7 +179,7 @@ def bs_transmission(detector: DetectorSpec, alpha_db_per_km: float, length_km: f
 
     Equals ``eta * 10^-(alpha L + L_r)/10``, i.e. p_signal / mu.
     """
-    if alpha_db_per_km < 0.0 or length_km < 0.0:
+    if not (alpha_db_per_km >= 0.0 and length_km >= 0.0):
         raise ModelDomainError("alpha and length must be >= 0")
     return detector.efficiency * 10.0 ** (
         -(alpha_db_per_km * length_km + detector.receiver_loss_db) / 10.0
@@ -197,11 +197,11 @@ def surviving_fraction(mu: float, p_signal: float, delay_n: int, memory: bool) -
     eta_bs is Eve's beam-splitter transmission (``bs_transmission``).
     Clamped below at 0; a zero value means the attack leaves no secret bits.
     """
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ModelDomainError(f"mu must be > 0, got {mu}")
     if not 0.0 <= p_signal <= 1.0:
         raise ModelDomainError(f"p_signal must be in [0, 1], got {p_signal}")
-    if delay_n < 1:
+    if not delay_n >= 1:
         raise ModelDomainError(f"delay_n must be >= 1, got {delay_n}")
     gamma = _surviving_fraction(mu, p_signal, delay_n, memory)
     return gamma if gamma > 0.0 else 0.0
@@ -212,7 +212,7 @@ def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:
 
     Linear and strictly decreasing in the error rate; clamped below at 0.
     """
-    if delay_n < 1:
+    if not delay_n >= 1:
         raise ModelDomainError(f"delay_n must be >= 1, got {delay_n}")
     if not 0.0 <= gamma <= 1.0:
         raise ModelDomainError(f"gamma must be in [0, 1], got {gamma}")
@@ -224,6 +224,6 @@ def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:
 
 def ir_error_floor(delay_n: int) -> float:
     """Error rate ``(1 - 1/2N) / 2`` an intercept-resend with mismatched delay induces."""
-    if delay_n < 1:
+    if not delay_n >= 1:
         raise ModelDomainError(f"delay_n must be >= 1, got {delay_n}")
     return 0.5 * (1.0 - 1.0 / (2.0 * delay_n))

@@ -2,12 +2,15 @@ import itertools
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpsrk import scenario as scenario_module
-from dpsrk.cli import CSV_HEADER, _integer, _point_row, _print_point, build_parser, main
+from dpsrk.cli import (
+    CSV_HEADER, _integer, _point_row, _print_point, _z_score, build_parser, main
+)
 from dpsrk.presets import load_presets, preset_directory
 from dpsrk.rate import RatePoint, secure_rate
 from dpsrk.scenario import KNOWN_KEYS, parse_scenario
@@ -481,11 +484,11 @@ class TestMcCommand:
          ("--attack", "individual_mem"), ("--delta", "2")],
     )
     def test_rejects_rate_options(self, capsys, option, value):
-        # mc samples clicks and errors only; f, the attack and dead time never enter it
+        # mc samples clicks and errors only, so its parser has no f, attack or dead-time option
         rc, out, err = run(capsys, "mc", "--preset", "fig3", "--pulses", "10", option, value)
         assert rc == 1
         assert out == ""
-        assert option in err and "does not apply to mc" in err
+        assert f"unrecognized arguments: {option} {value}" in err
 
     @pytest.mark.parametrize("bob_n", ["a,b", "1,,2", "1.5"])
     def test_bad_bob_n_exits_one(self, capsys, bob_n):
@@ -507,6 +510,11 @@ class TestMcCommand:
             "--pulses", "100000", "--seed", "1",
         )
         assert rc == 3
+
+    def test_z_score_is_infinite_at_zero_error(self):
+        # a zero SE with a differing estimate: the self-check must fail, not divide by 0
+        assert _z_score(0.5, 0.0, 0.0) == math.inf
+        assert _z_score(0.0, 0.5, 0.0) == -math.inf
 
     @pytest.mark.parametrize("mode", ["link", "ir"])
     def test_no_clicks_exits_zero(self, capsys, tmp_path, mode):
@@ -542,7 +550,7 @@ class TestPlotCommand:
         rc, out, _ = run(capsys, "plot", str(csv_path))
         assert rc == 0
         script_path = str(csv_path) + ".plot.py"
-        script = open(script_path).read()
+        script = Path(script_path).read_text()
         assert repr(str(csv_path)) in script
         assert "set_yscale('log')" in script
 
@@ -551,7 +559,7 @@ class TestPlotCommand:
         path.write_text(CSV_HEADER + "\n")
         rc, _, _ = run(capsys, "plot", str(path))
         assert rc == 0
-        script = open(str(path) + ".plot.py").read()
+        script = Path(str(path) + ".plot.py").read_text()
         assert "no data rows" in script
 
     def test_merged_two_detector_csv_labels(self, capsys, tmp_path):
@@ -563,7 +571,7 @@ class TestPlotCommand:
         merged.write_text("\n".join(rows) + "\n")
         rc, _, _ = run(capsys, "plot", str(merged))
         assert rc == 0
-        script = open(str(merged) + ".plot.py").read()
+        script = Path(str(merged) + ".plot.py").read_text()
         assert "'si'" in script
         assert "'ingaas'" in script
 
@@ -584,6 +592,15 @@ class TestPlotCommand:
         assert rc == 1
         assert err.startswith("error:") and "L_km" in err
 
+    def test_oversized_field_exits_one(self, capsys, tmp_path):
+        # a field past the csv module's 131072-character limit
+        path = tmp_path / "big.csv"
+        path.write_text("L_km,secure_bps\n1," + "x" * 200_000 + "\n")
+        rc, out, err = run(capsys, "plot", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: {path}: field larger than field limit (131072)\n"
+
     def test_custom_out_path(self, capsys, tmp_path):
         csv_path = self._sweep_csv(tmp_path, capsys)
         out_path = tmp_path / "custom_plot.py"
@@ -594,7 +611,7 @@ class TestPlotCommand:
     def test_script_is_valid_python(self, capsys, tmp_path):
         csv_path = self._sweep_csv(tmp_path, capsys)
         run(capsys, "plot", str(csv_path))
-        script = open(str(csv_path) + ".plot.py").read()
+        script = Path(str(csv_path) + ".plot.py").read_text()
         compile(script, "plot.py", "exec")  # syntax only, never executed
 
 

@@ -178,8 +178,19 @@ class TestNep:
     [
         (lambda: nep(-1.0, 0.5), "dark rate must be >= 0"),
         (lambda: optimize_pump(CURVE, (0.0, 0.0)), "efficiency is zero at the degenerate"),
+        (lambda: nep(math.nan, 0.5), "dark rate must be >= 0"),
+        (lambda: nep(1.0, math.nan), "efficiency must be > 0"),
+        (lambda: dark_per_window(math.nan, DarkConvention.PER_MODE, 50e9),
+         "dark rate must be finite and >= 0"),
+        (lambda: dark_per_window(math.inf, DarkConvention.PER_MODE, 50e9),
+         "dark rate must be finite and >= 0"),
+        (lambda: dark_per_window(1.0, DarkConvention.PER_GATE, math.nan), "bit rate must be > 0"),
     ],
-    ids=["nep-negative-dark", "pump-degenerate-zero-efficiency"],
+    ids=[
+        "nep-negative-dark", "pump-degenerate-zero-efficiency", "nep-dark-nan",
+        "nep-efficiency-nan", "dark-window-rate-nan", "dark-window-rate-inf",
+        "dark-window-divisor-nan",
+    ],
 )
 def test_out_of_range_argument_raises(call, message):
     with pytest.raises(ModelDomainError, match=message):

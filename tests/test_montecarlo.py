@@ -405,6 +405,10 @@ class TestMcConfigValidation:
         with pytest.raises(ModelDomainError):
             McConfig(**params)
 
+    def test_result_rejects_more_errors_than_clicks(self):
+        with pytest.raises(ModelDomainError, match="errors cannot exceed clicks"):
+            McResult.from_counts(10, 1, 2)
+
     def test_default_delay_choices_from_scenario(self):
         cfg = McConfig(scenario=si_scenario(delay_n=10), n_pulses=10, seed=0)
         assert cfg.delay_choices == (10,)

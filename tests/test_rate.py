@@ -53,6 +53,8 @@ class TestBinaryEntropy:
     def test_out_of_range(self):
         with pytest.raises(ModelDomainError):
             binary_entropy(-0.1)
+        with pytest.raises(ModelDomainError):
+            binary_entropy(math.nan)
 
 
 class TestSecureRateFromParts:

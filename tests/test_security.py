@@ -1,3 +1,4 @@
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -254,10 +255,26 @@ class TestIrErrorFloor:
         (lambda: shrink_individual(-0.1, 0.9, True), "error rate must be >= 0"),
         (lambda: ir_error_floor(0), "delay_n must be >= 1"),
         (lambda: ECTable(((0.0, 1.16),)), "at least two breakpoints"),
+        (lambda: f_ec(CASCADE_EC_TABLE, math.nan), "error rate must be >= 0"),
+        (lambda: poisson_multiphoton(math.nan), "mu must be finite and >= 0"),
+        (lambda: poisson_multiphoton(math.inf), "mu must be finite and >= 0"),
+        (lambda: single_photon_fraction(math.nan, 0.0), "undefined at zero click probability"),
+        (lambda: shrink_individual(math.nan, 0.5, True), "error rate must be >= 0"),
+        (lambda: shrink_individual(0.01, math.nan, True), "single-photon fraction must be <= 1"),
+        (lambda: surviving_fraction(math.nan, 0.1, 10, False), "mu must be > 0"),
+        (lambda: surviving_fraction(0.2, 0.1, math.nan, False), "delay_n must be >= 1"),
+        (lambda: shrink_hybrid(0.01, 0.5, math.nan), "delay_n must be >= 1"),
+        (lambda: ir_error_floor(math.nan), "delay_n must be >= 1"),
+        (lambda: bs_transmission(SI, math.nan, 1.0), "alpha and length must be >= 0"),
+        (lambda: bs_transmission(SI, -0.2, 1.0), "alpha and length must be >= 0"),
+        (lambda: bs_transmission(SI, 0.2, -1.0), "alpha and length must be >= 0"),
     ],
     ids=[
         "hybrid-delay-0", "hybrid-gamma", "hybrid-e", "individual-beta", "individual-e",
-        "ir-floor-delay-0", "ec-table-one-point",
+        "ir-floor-delay-0", "ec-table-one-point", "f-ec-nan", "multiphoton-nan",
+        "multiphoton-inf", "single-photon-nan", "individual-e-nan", "individual-beta-nan",
+        "surviving-mu-nan", "surviving-delay-nan", "hybrid-delay-nan", "ir-floor-nan",
+        "bs-alpha-nan", "bs-alpha-negative", "bs-length-negative",
     ],
 )
 def test_out_of_range_argument_raises(call, message):
