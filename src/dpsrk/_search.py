@@ -3,15 +3,19 @@
 The optimizers scan a coarse grid first because their objectives are not
 unimodal over a wide range (the NEP has one minimum per efficiency fringe;
 the secure rate can bend once dead time matters), then refine the bracket
-around the best grid point.  Both score their grid in one numpy pass first
-(``detector._nep_grid`` and ``rate._grid_rates``, each beside its solver)
-and hand ``grid_bracket`` only the points ``first_min_candidates`` keeps, so
-the scalar objective scores a handful of grid points instead of all of them.
+around the best grid point.  Both can score their grid in one numpy pass
+first (``detector._nep_grid`` and ``rate._grid_rates``, each beside its
+solver) and hand ``grid_bracket`` only the points ``first_min_candidates``
+keeps, so the scalar objective scores a handful of grid points instead of
+all of them.  Importing numpy costs far more than one scalar scan of every
+point, so ``screen_numpy`` lets the first solve of a process that has not
+loaded numpy scan instead; either way the bracket is that of a full scan.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Iterable
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -20,6 +24,28 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # lie from its numpy pass's value.  The two differ only by the rounding of
 # numpy's transcendental functions; the tests hold them to 1e-12.
 SCREEN_SLACK = 1e-9
+
+# Whether a solve has asked ``screen_numpy`` before.  A race between threads
+# at most lets two solves scan every point, which gives the same bracket.
+_solved = False
+
+
+def screen_numpy():
+    """The numpy module for a solver's grid screen, or None to scan every point.
+
+    The first solve in a process that has not loaded numpy gets None: one
+    scalar scan of the grid takes a few ms, against about 0.1 s to import
+    numpy, so a one-shot CLI solve starts and ends without it.  Every later
+    solve, and any solve once numpy is loaded, gets numpy, so a long run
+    pays for one scan more at most.
+    """
+    global _solved
+    if _solved or "numpy" in sys.modules:
+        import numpy  # here, on first use: importing dpsrk loads no numpy
+
+        return numpy
+    _solved = True
+    return None
 
 
 def grid_bracket(

@@ -15,7 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._search import SCREEN_SLACK, first_min_candidates, golden_min, grid_bracket
+from ._search import (
+    SCREEN_SLACK,
+    first_min_candidates,
+    golden_min,
+    grid_bracket,
+    screen_numpy,
+)
 from .errors import ModelDomainError
 
 # Pump powers (mW) the fitted curves are trusted on.  The quartic dark-rate
@@ -231,18 +237,18 @@ def dark_per_window(
     # written so that NaN fails each check
     if not 0.0 <= dark_rate_hz < math.inf:
         raise ModelDomainError(f"dark rate must be finite and >= 0, got {dark_rate_hz}")
-    if not divisor_hz > 0.0:
+    if not 0.0 < divisor_hz < math.inf:
         name = "bandwidth" if convention is DarkConvention.PER_MODE else "bit rate"
-        raise ModelDomainError(f"{name} must be > 0, got {divisor_hz}")
+        raise ModelDomainError(f"{name} must be finite and > 0, got {divisor_hz}")
     return dark_rate_hz / divisor_hz
 
 
 def nep(dark_rate_hz: float, efficiency: float) -> float:
     """Normalized noise-equivalent power ``sqrt(2 D) / eta`` (lower is better)."""
-    if not efficiency > 0.0:  # written so that NaN fails it, as does the next
-        raise ModelDomainError(f"efficiency must be > 0, got {efficiency}")
-    if not dark_rate_hz >= 0.0:
-        raise ModelDomainError(f"dark rate must be >= 0, got {dark_rate_hz}")
+    if not 0.0 < efficiency <= 1.0:  # written so that NaN fails it, as does the next
+        raise ModelDomainError(f"efficiency must be in (0, 1], got {efficiency}")
+    if not 0.0 <= dark_rate_hz < math.inf:
+        raise ModelDomainError(f"dark rate must be finite and >= 0, got {dark_rate_hz}")
     return _nep(dark_rate_hz, efficiency)
 
 
@@ -278,9 +284,11 @@ def optimize_pump(
     golden-section search then refines the bracket to below 1e-6 mW.  Ties
     break toward smaller pump.
 
-    The grid is screened in one numpy pass; the scalar objective then
-    re-scores the points that may hold its minimum, so the bracket and p*
-    are those of a scalar scan.
+    The scalar objective scores the grid.  Once ``_search.screen_numpy``
+    gives numpy, the grid is first screened in one numpy pass and the
+    scalar objective re-scores only the points that may hold its minimum;
+    the first solve of a process without numpy scans every point.  Either
+    way the bracket and p* are those of a scalar scan.
 
     Raises:
         ModelDomainError: If the range is empty or leaves the supported
@@ -303,14 +311,15 @@ def optimize_pump(
             raise ModelDomainError(f"efficiency is zero at the degenerate pump range [{lo}, {hi}]")
         return PumpOperatingPoint(lo, up_efficiency(curve, lo), up_dark_rate(curve, lo))
 
-    import numpy as np  # the grid screen; importing this module loads no numpy
-
     n = _PUMP_GRID_STEPS
-    # the same floats, in the same arithmetic, as grid_bracket's points
-    neps = _nep_grid(curve, lo + (hi - lo) * np.arange(n + 1) / n)
-    # inf - inf at a zero-efficiency point is NaN, which is never kept
-    with np.errstate(invalid="ignore"):
-        indices = first_min_candidates(neps, SCREEN_SLACK * neps)
+    indices = None
+    np = screen_numpy()
+    if np is not None:
+        # the same floats, in the same arithmetic, as grid_bracket's points
+        neps = _nep_grid(curve, lo + (hi - lo) * np.arange(n + 1) / n)
+        # inf - inf at a zero-efficiency point is NaN, which is never kept
+        with np.errstate(invalid="ignore"):
+            indices = first_min_candidates(neps, SCREEN_SLACK * neps)
     a, b, best = grid_bracket(objective, lo, hi, n, indices)
     if not math.isfinite(best):
         raise ModelDomainError(f"efficiency is zero over the whole pump range [{lo}, {hi}]")

@@ -13,7 +13,13 @@ import math
 from typing import NamedTuple
 
 from . import link, security
-from ._search import SCREEN_SLACK, first_min_candidates, golden_min, grid_bracket
+from ._search import (
+    SCREEN_SLACK,
+    first_min_candidates,
+    golden_min,
+    grid_bracket,
+    screen_numpy,
+)
 from .errors import ModelDomainError, NoSecureDistanceError
 from .link import LinkScenario, _trial_scenario
 from .security import CASCADE_EC_TABLE, AttackModel
@@ -215,14 +221,16 @@ def optimize_mu(
     When the rate is zero over the whole range the returned point carries
     the insecure flag.
 
-    The grid is screened in one numpy pass through the rate chain; the
-    scalar chain then re-scores the points that may hold its maximum, so
-    the bracket, mu* and the returned point are those of a scalar scan.
+    The scalar chain scores the grid.  Once ``_search.screen_numpy`` gives
+    numpy, the grid is first screened in one numpy pass through the rate
+    chain and the scalar chain re-scores only the points that may hold its
+    maximum; the first solve of a process without numpy scans every point.
+    Either way the bracket, mu* and the returned point are those of a
+    scalar scan.
     """
     lo, hi = mu_range
     if not 0.0 < lo < hi <= 1.0:
         raise ModelDomainError(f"mu range must satisfy 0 < lo < hi <= 1, got [{lo}, {hi}]")
-    import numpy as np  # the grid screen; importing this module loads no numpy
 
     def point(mu: float) -> RatePoint:
         return secure_rate(_trial_scenario(s, mu, s.length_km), a, f_fixed=f_fixed)
@@ -231,10 +239,13 @@ def optimize_mu(
         return -point(mu).secure_rate_deadtime_hz
 
     n = _MU_GRID_STEPS
-    # the same floats, in the same arithmetic, as grid_bracket's points
-    rates, sifted = _grid_rates(s, a, lo + (hi - lo) * np.arange(n + 1) / n, f_fixed)
-    # the scalar scan minimizes the rate clamped at 0, so only a positive rate can win
-    indices = first_min_candidates(-rates, SCREEN_SLACK * sifted, ceiling=0.0)
+    indices = None
+    np = screen_numpy()
+    if np is not None:
+        # the same floats, in the same arithmetic, as grid_bracket's points
+        rates, sifted = _grid_rates(s, a, lo + (hi - lo) * np.arange(n + 1) / n, f_fixed)
+        # the scalar scan minimizes the rate clamped at 0, so only a positive rate can win
+        indices = first_min_candidates(-rates, SCREEN_SLACK * sifted, ceiling=0.0)
     a_mu, b_mu, best = grid_bracket(loss, lo, hi, n, indices)
     if -best <= 0.0:
         return lo, point(lo)

@@ -201,8 +201,8 @@ def surviving_fraction(mu: float, p_signal: float, delay_n: int, memory: bool) -
         raise ModelDomainError(f"mu must be > 0, got {mu}")
     if not 0.0 <= p_signal <= 1.0:
         raise ModelDomainError(f"p_signal must be in [0, 1], got {p_signal}")
-    if not delay_n >= 1:
-        raise ModelDomainError(f"delay_n must be >= 1, got {delay_n}")
+    if not (delay_n >= 1 and delay_n % 1 == 0):  # inf % 1 is NaN, which fails too
+        raise ModelDomainError(f"delay_n must be an integer >= 1, got {delay_n}")
     gamma = _surviving_fraction(mu, p_signal, delay_n, memory)
     return gamma if gamma > 0.0 else 0.0
 
@@ -212,8 +212,8 @@ def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:
 
     Linear and strictly decreasing in the error rate; clamped below at 0.
     """
-    if not delay_n >= 1:
-        raise ModelDomainError(f"delay_n must be >= 1, got {delay_n}")
+    if not (delay_n >= 1 and delay_n % 1 == 0):  # inf % 1 is NaN, which fails too
+        raise ModelDomainError(f"delay_n must be an integer >= 1, got {delay_n}")
     if not 0.0 <= gamma <= 1.0:
         raise ModelDomainError(f"gamma must be in [0, 1], got {gamma}")
     if not 0.0 <= e <= 0.5:
@@ -224,6 +224,6 @@ def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:
 
 def ir_error_floor(delay_n: int) -> float:
     """Error rate ``(1 - 1/2N) / 2`` an intercept-resend with mismatched delay induces."""
-    if not delay_n >= 1:
-        raise ModelDomainError(f"delay_n must be >= 1, got {delay_n}")
+    if not (delay_n >= 1 and delay_n % 1 == 0):  # inf % 1 is NaN, which fails too
+        raise ModelDomainError(f"delay_n must be an integer >= 1, got {delay_n}")
     return 0.5 * (1.0 - 1.0 / (2.0 * delay_n))

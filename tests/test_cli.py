@@ -844,8 +844,9 @@ class TestConsoleScript:
         assert proc.returncode == 2
 
     def test_numpy_loaded_only_by_sampler_and_mu_grid(self, upconv_scenario_path):
-        # only `mc` and the grid screens of `optimize-mu` and `optimize-pump`
-        # need numpy; the other commands start without it
+        # only `mc` and the grid screens of a process's later `optimize-mu` and
+        # `optimize-pump` solves need numpy; a first solve scans its grid
+        # without it, and the other commands start without it
         import subprocess
         import sys
 
@@ -859,6 +860,7 @@ class TestConsoleScript:
             "                 '--lo', '0', '--hi', '100', '--steps', '5']) == 0\n"
             f"    assert main(['sweep', '--scenario', {upconv_scenario_path!r}, '--axis', 'pump',\n"
             "                 '--lo', '0', '--hi', '1', '--steps', '5', '--length', '25']) == 0\n"
+            "    assert main(['optimize-mu', '--preset', 'fig3']) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
             "import dpsrk\n"
             "assert not hasattr(dpsrk, 'no_such_name')\n"

@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -176,20 +178,27 @@ class TestNep:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: nep(-1.0, 0.5), "dark rate must be >= 0"),
+        (lambda: nep(-1.0, 0.5), "dark rate must be finite and >= 0"),
         (lambda: optimize_pump(CURVE, (0.0, 0.0)), "efficiency is zero at the degenerate"),
-        (lambda: nep(math.nan, 0.5), "dark rate must be >= 0"),
-        (lambda: nep(1.0, math.nan), "efficiency must be > 0"),
+        (lambda: nep(math.nan, 0.5), "dark rate must be finite and >= 0"),
+        (lambda: nep(1.0, math.nan), "efficiency must be in"),
         (lambda: dark_per_window(math.nan, DarkConvention.PER_MODE, 50e9),
          "dark rate must be finite and >= 0"),
         (lambda: dark_per_window(math.inf, DarkConvention.PER_MODE, 50e9),
          "dark rate must be finite and >= 0"),
-        (lambda: dark_per_window(1.0, DarkConvention.PER_GATE, math.nan), "bit rate must be > 0"),
+        (lambda: dark_per_window(1.0, DarkConvention.PER_GATE, math.nan),
+         "bit rate must be finite and > 0"),
+        (lambda: nep(1.0, 2.0), "efficiency must be in"),
+        (lambda: nep(1.0, math.inf), "efficiency must be in"),
+        (lambda: nep(math.inf, 0.5), "dark rate must be finite and >= 0"),
+        (lambda: dark_per_window(1.0, DarkConvention.PER_GATE, math.inf),
+         "bit rate must be finite and > 0"),
     ],
     ids=[
         "nep-negative-dark", "pump-degenerate-zero-efficiency", "nep-dark-nan",
         "nep-efficiency-nan", "dark-window-rate-nan", "dark-window-rate-inf",
-        "dark-window-divisor-nan",
+        "dark-window-divisor-nan", "nep-efficiency-above-one", "nep-efficiency-inf",
+        "nep-dark-inf", "dark-window-divisor-inf",
     ],
 )
 def test_out_of_range_argument_raises(call, message):
@@ -310,6 +319,24 @@ class TestPumpGridScreen:
             else:
                 # both overflow to inf where the efficiency is subnormal
                 assert math.isclose(got, nep(up_dark_rate(curve, p), eta), rel_tol=1e-12)
+
+    def test_first_solve_without_numpy_scans_every_point(self):
+        # a fresh process scans the grid at its first solve and screens it
+        # with numpy from the second on; both give the in-process answer
+        code = (
+            "import sys\n"
+            "from dpsrk.detector import PPLN_UPCONVERTER, optimize_pump\n"
+            "first = optimize_pump(PPLN_UPCONVERTER, (0.0, 30.0))\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded by the first solve'\n"
+            "second = optimize_pump(PPLN_UPCONVERTER, (0.0, 30.0))\n"
+            "assert 'numpy' in sys.modules, 'numpy not loaded by the second solve'\n"
+            "print(repr(tuple(first)))\n"
+            "print(repr(tuple(second)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        first, second = proc.stdout.splitlines()
+        assert first == second == repr(tuple(optimize_pump(CURVE, (0.0, SUPPORTED_PUMP_MAX_MW))))
 
     def test_scalar_objective_scores_only_the_bracket(self, monkeypatch):
         calls = []

@@ -72,6 +72,13 @@ class TestPClick:
         assert stats.p_click == 1.0
         assert stats.clamped
 
+    def test_click_of_exactly_one_is_not_clamped(self):
+        # 0.5 signal + 2 * 0.25 dark sums to 1 exactly
+        s = si_scenario(length_km=0.0, mu=1.0, detector=toy_detector(efficiency=0.5, dark=0.25))
+        stats = channel_stats(s)
+        assert stats.p_click == 1.0
+        assert not stats.clamped
+
     def test_composition_exact(self):
         # bit-for-bit sum below the clamp
         for length in (0.0, 10.0, 50.0, 123.4, 250.0):
@@ -160,6 +167,9 @@ class TestScenarioValidation:
             {"clock_hz": math.inf},
             {"delay_n": math.nan},
             {"dead_time_delta": math.nan},
+            {"alpha_db_per_km": math.inf},
+            {"delay_n": math.inf},
+            {"dead_time_delta": math.inf},
         ],
     )
     def test_rejects(self, override):

@@ -182,6 +182,22 @@ class TestDeadTimeFactor:
         far = secure_rate(si_scenario(200.0), HYBRID_NOMEM)
         assert FLAG_DEADTIME_LIMITED not in far.flags
 
+    def test_exponent_of_exactly_one_is_limited(self):
+        # delta nu p_click t_d = 0.5 * 4 * 0.5 * 1 = 1 exactly
+        s = si_scenario(
+            length_km=0.0,
+            mu=0.5,
+            clock_hz=4.0,
+            dead_time_delta=0.5,
+            detector=DetectorSpec(
+                name="t", efficiency=1.0, dark_per_window=0.0, dead_time=1.0,
+                receiver_loss_db=0.0,
+            ),
+        )
+        point = secure_rate(s, HYBRID_NOMEM)
+        assert point.p_click == 0.5 and point.secure_rate_hz > 0.0
+        assert FLAG_DEADTIME_LIMITED in point.flags
+
 
 class TestAsymptoticRate:
     def test_no_memory(self):
@@ -244,6 +260,11 @@ class TestOptimizeMu:
     def test_invalid_range(self):
         with pytest.raises(ModelDomainError):
             optimize_mu(si_scenario(), HYBRID_NOMEM, (0.5, 0.2))
+
+    @pytest.mark.parametrize("mu_range", [(0.0, 0.5), (0.3, 0.3)], ids=["lo-zero", "lo-is-hi"])
+    def test_range_ends_rejected(self, mu_range):
+        with pytest.raises(ModelDomainError, match="mu range must satisfy"):
+            optimize_mu(si_scenario(), HYBRID_NOMEM, mu_range)
 
 
 class TestMaxSecureDistance:

@@ -1,6 +1,9 @@
 """The array pass over optimize_mu's grid against the scalar rate chain."""
 
 import math
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -135,6 +138,28 @@ def test_optimize_mu_is_the_scalar_scan_bit_for_bit(name):
                     got = optimize_mu(s, a, (0.01, 1.0), f_fixed=f_fixed)
                     want = scalar_optimize_mu(s, a, (0.01, 1.0), f_fixed)
                     assert bits(*got) == bits(*want), (detector, attack, length, f_fixed)
+
+
+def test_first_solve_without_numpy_scans_every_point():
+    # a fresh process scans the grid at its first solve and screens it with
+    # numpy from the second on; both give the in-process (screened) answer
+    code = (
+        "import pickle, sys\n"
+        "from dpsrk.presets import load_presets\n"
+        "from dpsrk.rate import optimize_mu\n"
+        "s, a = load_presets()['fig3'].scenario('si', length_km=100.0)\n"
+        "first = optimize_mu(s, a, (0.01, 1.0))\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by the first solve'\n"
+        "second = optimize_mu(s, a, (0.01, 1.0))\n"
+        "assert 'numpy' in sys.modules, 'numpy not loaded by the second solve'\n"
+        "sys.stdout.buffer.write(pickle.dumps((first, second)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    first, second = pickle.loads(proc.stdout)
+    s, a = load_presets()["fig3"].scenario("si", length_km=100.0)
+    assert bits(*first) == bits(*second) == bits(*optimize_mu(s, a, (0.01, 1.0)))
+    assert first[1].secure
 
 
 def test_scalar_chain_scores_only_the_bracket(monkeypatch):

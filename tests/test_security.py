@@ -231,6 +231,11 @@ class TestErrorCorrectionTable:
         with pytest.raises(ModelDomainError):
             ECTable(points=((0.01, 1.16), (0.1, 1.22)))  # does not cover 0.15
 
+    def test_two_breakpoints_and_unit_overhead_allowed(self):
+        table = ECTable(points=((0.01, 1.0), (0.15, 1.2)))
+        assert f_ec(table, 0.0) == 1.0
+        assert f_ec(table, 0.15) == 1.2
+
 
 class TestIrErrorFloor:
     def test_values(self):
@@ -248,12 +253,12 @@ class TestIrErrorFloor:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: shrink_hybrid(0.01, 0.9, 0), "delay_n must be >= 1"),
+        (lambda: shrink_hybrid(0.01, 0.9, 0), "delay_n must be an integer >= 1"),
         (lambda: shrink_hybrid(0.01, 1.5, 100), "gamma must be in"),
         (lambda: shrink_hybrid(0.6, 0.9, 100), "error rate must be in"),
         (lambda: shrink_individual(0.01, 1.5, True), "single-photon fraction must be <= 1"),
         (lambda: shrink_individual(-0.1, 0.9, True), "error rate must be >= 0"),
-        (lambda: ir_error_floor(0), "delay_n must be >= 1"),
+        (lambda: ir_error_floor(0), "delay_n must be an integer >= 1"),
         (lambda: ECTable(((0.0, 1.16),)), "at least two breakpoints"),
         (lambda: f_ec(CASCADE_EC_TABLE, math.nan), "error rate must be >= 0"),
         (lambda: poisson_multiphoton(math.nan), "mu must be finite and >= 0"),
@@ -262,19 +267,28 @@ class TestIrErrorFloor:
         (lambda: shrink_individual(math.nan, 0.5, True), "error rate must be >= 0"),
         (lambda: shrink_individual(0.01, math.nan, True), "single-photon fraction must be <= 1"),
         (lambda: surviving_fraction(math.nan, 0.1, 10, False), "mu must be > 0"),
-        (lambda: surviving_fraction(0.2, 0.1, math.nan, False), "delay_n must be >= 1"),
-        (lambda: shrink_hybrid(0.01, 0.5, math.nan), "delay_n must be >= 1"),
-        (lambda: ir_error_floor(math.nan), "delay_n must be >= 1"),
+        (lambda: surviving_fraction(0.2, 0.1, math.nan, False), "delay_n must be an integer >= 1"),
+        (lambda: shrink_hybrid(0.01, 0.5, math.nan), "delay_n must be an integer >= 1"),
+        (lambda: ir_error_floor(math.nan), "delay_n must be an integer >= 1"),
         (lambda: bs_transmission(SI, math.nan, 1.0), "alpha and length must be >= 0"),
         (lambda: bs_transmission(SI, -0.2, 1.0), "alpha and length must be >= 0"),
         (lambda: bs_transmission(SI, 0.2, -1.0), "alpha and length must be >= 0"),
+        (lambda: surviving_fraction(0.2, 0.1, math.inf, False), "delay_n must be an integer"),
+        (lambda: surviving_fraction(0.2, 0.1, 2.5, False), "delay_n must be an integer"),
+        (lambda: shrink_hybrid(0.01, 0.5, math.inf), "delay_n must be an integer"),
+        (lambda: shrink_hybrid(0.01, 0.5, 2.5), "delay_n must be an integer"),
+        (lambda: ir_error_floor(math.inf), "delay_n must be an integer"),
+        (lambda: ir_error_floor(2.5), "delay_n must be an integer"),
+        (lambda: ECTable(((0.01, 1.16), (0.01, 1.2), (0.15, 1.35))), "strictly increasing"),
     ],
     ids=[
         "hybrid-delay-0", "hybrid-gamma", "hybrid-e", "individual-beta", "individual-e",
         "ir-floor-delay-0", "ec-table-one-point", "f-ec-nan", "multiphoton-nan",
         "multiphoton-inf", "single-photon-nan", "individual-e-nan", "individual-beta-nan",
         "surviving-mu-nan", "surviving-delay-nan", "hybrid-delay-nan", "ir-floor-nan",
-        "bs-alpha-nan", "bs-alpha-negative", "bs-length-negative",
+        "bs-alpha-nan", "bs-alpha-negative", "bs-length-negative", "surviving-delay-inf",
+        "surviving-delay-fraction", "hybrid-delay-inf", "hybrid-delay-fraction", "ir-floor-inf",
+        "ir-floor-fraction", "ec-table-equal-breakpoints",
     ],
 )
 def test_out_of_range_argument_raises(call, message):
