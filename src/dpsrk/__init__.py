@@ -30,7 +30,6 @@ from .rate import (
     max_secure_distance,
     optimize_mu,
     secure_rate,
-    secure_rate_from_parts,
 )
 from .scenario import ScenarioFile, parse_scenario, serialize_scenario
 from .security import (
@@ -81,7 +80,6 @@ __all__ = [
     "parse_scenario",
     "poisson_multiphoton",
     "secure_rate",
-    "secure_rate_from_parts",
     "serialize_scenario",
     "shrink_hybrid",
     "shrink_individual",

@@ -93,8 +93,11 @@ class UpConversionCurve:
     def __post_init__(self):
         if not 0.0 < self.a1 <= 1.0:
             raise ModelDomainError(f"a1 must be in (0, 1], got {self.a1}")
-        if not 0.0 <= self.a2 < math.inf:
-            raise ModelDomainError(f"a2 must be finite and >= 0, got {self.a2}")
+        # _check_pump keeps every pump in [0, max], so each a2 * p stays finite too
+        if not 0.0 <= self.a2 * SUPPORTED_PUMP_MAX_MW < math.inf:
+            raise ModelDomainError(
+                f"a2 must be >= 0 with a2 * {SUPPORTED_PUMP_MAX_MW} mW finite, got {self.a2}"
+            )
         if not 0.0 < self.bandwidth_hz < math.inf:
             raise ModelDomainError(f"bandwidth_hz must be finite and > 0, got {self.bandwidth_hz}")
         for name in ("b0", "b1", "b2", "b3", "b4"):

@@ -10,6 +10,7 @@ rate 1/2 while signal clicks err at the baseline system rate ``b``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,8 +30,9 @@ class LinkScenario:
         baseline_error: Baseline system error rate b in [0, 0.5).
         detector: Bob's detector parameters.
         delay_n: Interferometer delay in clock periods (N).
-        dead_time_delta: Saturation exponent scale delta.  ``None`` selects
-            1/2, i.e. each of Bob's two detectors handles half the clicks.
+        dead_time_delta: Saturation exponent scale delta, finite and >= 0.
+            The default 1/2 has each of Bob's two detectors handle half the
+            clicks.
     """
 
     mu: float
@@ -40,7 +42,7 @@ class LinkScenario:
     baseline_error: float
     detector: DetectorSpec
     delay_n: int
-    dead_time_delta: float | None = None
+    dead_time_delta: float = 0.5
 
     def __post_init__(self):
         # the chained comparisons also reject NaN and infinities
@@ -56,18 +58,13 @@ class LinkScenario:
             raise ModelDomainError(
                 f"baseline error must be in [0, 0.5), got {self.baseline_error}"
             )
-        if not 1 <= self.delay_n < math.inf or int(self.delay_n) != self.delay_n:
+        # an int compares with a float exactly, and every int up to the largest float converts
+        if not 1 <= self.delay_n <= sys.float_info.max or int(self.delay_n) != self.delay_n:
             raise ModelDomainError(f"delay_n must be an integer >= 1, got {self.delay_n}")
-        if self.dead_time_delta is not None and not 0.0 <= self.dead_time_delta < math.inf:
+        if not 0.0 <= self.dead_time_delta < math.inf:
             raise ModelDomainError(
                 f"dead_time_delta must be finite and >= 0, got {self.dead_time_delta}"
             )
-
-    @property
-    def effective_dead_time_delta(self) -> float:
-        if self.dead_time_delta is not None:
-            return self.dead_time_delta
-        return 0.5
 
 
 def _trial_scenario(s: LinkScenario, mu: float, length_km: float) -> LinkScenario:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -83,7 +84,8 @@ class McConfig:
         if self.bob_delay_choices is not None:
             if not self.bob_delay_choices:
                 raise ModelDomainError("bob_delay_choices must not be empty")
-            if not all(_is_whole(n, 1) for n in self.bob_delay_choices):
+            # a delay above the largest float would overflow in security.ir_error_floor
+            if not all(_is_whole(n, 1, sys.float_info.max) for n in self.bob_delay_choices):
                 raise ModelDomainError("bob_delay_choices must be integers >= 1")
 
     @property

@@ -61,7 +61,7 @@ class Preset:
         delay_n: int = 100,
         attack: str = "hybrid_nomem",
         length_km: float = 0.0,
-        delta: float | None = None,
+        delta: float = 0.5,
     ) -> tuple[LinkScenario, AttackModel]:
         """Materialize the preset for one detector, delay and attack."""
         if detector not in self.detectors:

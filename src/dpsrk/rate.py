@@ -39,6 +39,10 @@ _FLAG_SETS = {
 # Last breakpoint of the cascade table; f_ec raises above it.
 _EC_E_MAX = CASCADE_EC_TABLE.points[-1][0]
 
+# Below this error rate _entropy reads log2(1 - e) through log1p.
+_E_LOG1P = 1e-3
+_LN2 = math.log(2.0)
+
 # Longest link max_secure_distance searches before giving up.
 _L_MAX_KM = 20000.0
 # Widest step of the scan for a window the walk stepped over, in km.
@@ -77,17 +81,18 @@ def binary_entropy(e: float) -> float:
     return _entropy(e)
 
 
-def _entropy(e, log2=math.log2):
-    """Body of ``H(e)`` for 0 < e < 1; ``e`` may be an array with numpy's ``log2``."""
-    return -e * log2(e) - (1.0 - e) * log2(1.0 - e)
+def _entropy(e, log2=math.log2, log1p=math.log1p, where=None):
+    """Body of ``H(e)`` for 0 < e < 1; ``e`` may be an array with numpy's functions.
 
-
-def secure_rate_from_parts(
-    clock_hz: float, p_click: float, qber: float, tau: float, f: float
-) -> float:
-    """Secure rate ``nu p_click (tau - f H(e))``, clamped below at 0."""
-    r = clock_hz * p_click * (tau - f * binary_entropy(qber))
-    return r if r > 0.0 else 0.0  # max(0.0, r) without the call; same for NaN and -0.0
+    Below e = 1e-3 it takes ``log2(1 - e)`` as ``log1p(-e) / ln 2``, since
+    ``1 - e`` drops the low bits of a small ``e``.  ``where`` picks the form
+    as in ``security._multiphoton``.
+    """
+    if where is None:
+        log2_rest = log1p(-e) / _LN2 if e < _E_LOG1P else log2(1.0 - e)
+    else:
+        log2_rest = where(e < _E_LOG1P, log1p(-e) / _LN2, log2(1.0 - e))
+    return -e * log2(e) - (1.0 - e) * log2_rest
 
 
 def _dead_time_exponent(s: LinkScenario, p_click):
@@ -95,7 +100,7 @@ def _dead_time_exponent(s: LinkScenario, p_click):
 
     ``p_click`` may be an array.
     """
-    return s.effective_dead_time_delta * s.clock_hz * p_click * s.detector.dead_time
+    return s.dead_time_delta * s.clock_hz * p_click * s.detector.dead_time
 
 
 def _grid_rates(s: LinkScenario, a: AttackModel, mus, f_fixed: float | None = None):
@@ -104,10 +109,10 @@ def _grid_rates(s: LinkScenario, a: AttackModel, mus, f_fixed: float | None = No
     ``mus`` is a numpy array, and ``s.mu`` is ignored in favour of it.  The
     pass uses the chain's own formulas, with masks where the scalar chain
     branches, so it differs from ``secure_rate`` only by the rounding of
-    numpy's exp, expm1, log2 and interp.  Wherever ``secure_rate`` runs the
-    rate formula, the first array is that formula's value, so its positive
-    part is ``secure_rate_deadtime_hz``.  It is 0 where nothing clicks and
-    -inf where the QBER is above the correction table.
+    numpy's exp, expm1, log2, log1p and interp.  Wherever ``secure_rate``
+    runs the rate formula, the first array is that formula's value, so its
+    positive part is ``secure_rate_deadtime_hz``.  It is 0 where nothing
+    clicks and -inf where the QBER is above the correction table.
     """
     import numpy as np
 
@@ -125,13 +130,13 @@ def _grid_rates(s: LinkScenario, a: AttackModel, mus, f_fixed: float | None = No
             )
             tau = np.maximum(0.0, gamma - security._hybrid_penalty(e, s.delay_n))
         else:
-            p_m = security._multiphoton(mus, np.exp, np.expm1)
+            p_m = security._multiphoton(mus, np.exp, np.expm1, np.where)
             beta = security._single_photon_fraction(p_click, p_m)
             ratio, turn, arg, scale = security._collision_bound(e, beta, a.memory)
             tau = np.where(
                 (beta > 0.0) & (ratio < turn), np.maximum(0.0, -scale * np.log2(arg)), 0.0
             )
-        h = np.where(e > 0.0, _entropy(e, np.log2), 0.0)
+        h = np.where(e > 0.0, _entropy(e, np.log2, np.log1p, np.where), 0.0)
         f = np.interp(e, *zip(*CASCADE_EC_TABLE.points)) if f_fixed is None else f_fixed
         sifted = s.clock_hz * p_click
         rates = sifted * (tau - f * h) * np.exp(-_dead_time_exponent(s, p_click))
@@ -175,7 +180,9 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
             above = True
         else:
             f_used = security.f_ec(CASCADE_EC_TABLE, e) if f_fixed is None else f_fixed
-            r = secure_rate_from_parts(s.clock_hz, p_click, e, tau, f_used)
+            # nu p_click (tau - f H(e)); p_click > 0 puts e in [b, 1/2]
+            r = s.clock_hz * p_click * (tau - f_used * (_entropy(e) if e > 0.0 else 0.0))
+            r = r if r > 0.0 else 0.0  # max(0.0, r) without the call; same for NaN and -0.0
             saturation = _dead_time_exponent(s, p_click)
     return RatePoint(
         s.length_km,

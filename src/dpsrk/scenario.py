@@ -42,7 +42,7 @@ class ScenarioFile:
     detector_name: str
     detector_dead_time_s: float
     detector_receiver_loss_db: float
-    delta: float | None = None
+    delta: float = 0.5
     detector_efficiency: float | None = None
     detector_dark_per_window: float | None = None
     upconv_a1: float | None = None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .detector import DetectorSpec
@@ -96,10 +97,25 @@ def f_ec(table: ECTable, e: float) -> float:
 # The private helpers below hold the formulas that the scalar functions and
 # the array pass ``rate._grid_rates`` share.  Their arguments may be floats or
 # numpy arrays; the transcendental functions are passed in for the same reason.
+# Where a helper picks between two forms, an array passes ``numpy.where`` as
+# ``where``, and a float (``where=None``) evaluates only the form it takes.
+
+# Below this mu, -expm1(-mu) and mu e^-mu cancel to under 1/200 of either,
+# and _multiphoton sums the Poisson tail instead.
+_MU_SERIES = 0.01
 
 
-def _multiphoton(mu, exp=math.exp, expm1=math.expm1):
-    return -expm1(-mu) - mu * exp(-mu)
+def _multiphoton(mu, exp=math.exp, expm1=math.expm1, where=None):
+    if where is None:
+        return _poisson_tail(mu, exp) if mu < _MU_SERIES else -expm1(-mu) - mu * exp(-mu)
+    return where(mu < _MU_SERIES, _poisson_tail(mu, exp), -expm1(-mu) - mu * exp(-mu))
+
+
+def _poisson_tail(mu, exp):
+    """``e^-mu sum_{k=2}^{7} mu^k / k!``; below _MU_SERIES the next term is under 5e-17 of it."""
+    return exp(-mu) * mu * mu / 2.0 * (
+        1.0 + mu / 3.0 * (1.0 + mu / 4.0 * (1.0 + mu / 5.0 * (1.0 + mu / 6.0 * (1.0 + mu / 7.0))))
+    )
 
 
 def _single_photon_fraction(p_click, p_m):
@@ -201,7 +217,7 @@ def surviving_fraction(mu: float, p_signal: float, delay_n: int, memory: bool) -
         raise ModelDomainError(f"mu must be > 0, got {mu}")
     if not 0.0 <= p_signal <= 1.0:
         raise ModelDomainError(f"p_signal must be in [0, 1], got {p_signal}")
-    if not (delay_n >= 1 and delay_n % 1 == 0):  # inf % 1 is NaN, which fails too
+    if not (1 <= delay_n <= sys.float_info.max and delay_n % 1 == 0):  # NaN and inf fail too
         raise ModelDomainError(f"delay_n must be an integer >= 1, got {delay_n}")
     gamma = _surviving_fraction(mu, p_signal, delay_n, memory)
     return gamma if gamma > 0.0 else 0.0
@@ -212,7 +228,7 @@ def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:
 
     Linear and strictly decreasing in the error rate; clamped below at 0.
     """
-    if not (delay_n >= 1 and delay_n % 1 == 0):  # inf % 1 is NaN, which fails too
+    if not (1 <= delay_n <= sys.float_info.max and delay_n % 1 == 0):  # NaN and inf fail too
         raise ModelDomainError(f"delay_n must be an integer >= 1, got {delay_n}")
     if not 0.0 <= gamma <= 1.0:
         raise ModelDomainError(f"gamma must be in [0, 1], got {gamma}")
@@ -224,6 +240,6 @@ def shrink_hybrid(e: float, gamma: float, delay_n: int) -> float:
 
 def ir_error_floor(delay_n: int) -> float:
     """Error rate ``(1 - 1/2N) / 2`` an intercept-resend with mismatched delay induces."""
-    if not (delay_n >= 1 and delay_n % 1 == 0):  # inf % 1 is NaN, which fails too
+    if not (1 <= delay_n <= sys.float_info.max and delay_n % 1 == 0):  # NaN and inf fail too
         raise ModelDomainError(f"delay_n must be an integer >= 1, got {delay_n}")
     return 0.5 * (1.0 - 1.0 / (2.0 * delay_n))

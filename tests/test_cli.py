@@ -49,6 +49,10 @@ def touching_scenario_path(tmp_path):
     return str(path)
 
 
+# An integer delay above the largest float.
+HUGE = str(10**400)
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -511,6 +515,12 @@ class TestMcCommand:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("z, code", [(5.0, 0), (math.nextafter(5.0, math.inf), 3)])
+    def test_self_check_gate_is_above_five(self, capsys, monkeypatch, z, code):
+        monkeypatch.setattr("dpsrk.cli._z_score", lambda estimate, analytic, se: z)
+        rc, _, _ = run(capsys, "mc", "--preset", "fig3", "--length", "100", "--pulses", "1000")
+        assert rc == code
+
     def test_z_score_is_infinite_at_zero_error(self):
         # a zero SE with a differing estimate: the self-check must fail, not divide by 0
         assert _z_score(0.5, 0.0, 0.0) == math.inf
@@ -642,6 +652,53 @@ class TestBadInputFiles:
         rc, out, err = run(capsys, "rate", "--scenario", str(path))
         assert (rc, out) == (1, "")
         assert "line 1, column 1: missing key before '='" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--preset", "fig3", "--length", "10", "--n", HUGE],
+            ["sweep", "--preset", "fig3", "--axis", "distance", "--lo", "0", "--hi", "10",
+             "--steps", "2", "--n", HUGE],
+            ["max-distance", "--preset", "fig3", "--n", HUGE],
+            ["optimize-mu", "--preset", "fig3", "--n", HUGE],
+            ["mc", "--preset", "fig3", "--pulses", "10", "--n", HUGE],
+            ["mc", "--preset", "fig3", "--pulses", "10", "--mode", "ir", "--bob-n", f"1,{HUGE}"],
+            ["rate", "--scenario", "huge.scn", "--length", "10"],
+        ],
+        ids=["rate", "sweep", "max-distance", "optimize-mu", "mc", "mc-bob-n", "scenario"],
+    )
+    def test_delay_too_large_for_a_float_exits_one(self, capsys, tmp_path, monkeypatch, argv):
+        # every int passes 1 <= n < inf, and a delay above the largest float overflowed
+        (tmp_path / "huge.scn").write_text(BASIC.replace("delay_n = 100", f"delay_n = {HUGE}"))
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert re.fullmatch(
+            rf"error: (delay_n must be an integer >= 1, got {HUGE}"
+            r"|bob_delay_choices must be integers >= 1)\n",
+            err,
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--length", "10"],
+            ["optimize-pump"],
+            ["sweep", "--axis", "pump", "--lo", "0", "--hi", "30", "--steps", "4"],
+        ],
+        ids=["rate", "optimize-pump", "sweep-pump"],
+    )
+    def test_upconversion_a2_overflowing_at_the_pump_exits_one(
+        self, capsys, upconv_scenario_path, tmp_path, argv
+    ):
+        # a2 p = inf made sin(sqrt(a2 p)) a math domain error
+        path = tmp_path / "big_a2.scn"
+        text = Path(upconv_scenario_path).read_text()
+        path.write_text(text.replace("upconv.a2 = 79.75", "upconv.a2 = 1e308").replace(
+            "upconv.pump_mw = 0.0269", "upconv.pump_mw = 20.0"))
+        rc, out, err = run(capsys, *argv, "--scenario", str(path))
+        assert (rc, out) == (1, "")
+        assert err == "error: a2 must be >= 0 with a2 * 30.0 mW finite, got 1e+308\n"
 
 
 def _file_bytes(line: st.SearchStrategy[str]) -> st.SearchStrategy[bytes]:

@@ -125,6 +125,14 @@ class TestUpConversionCurveValidation:
         with pytest.raises(ModelDomainError):
             replace(CURVE, **{field: value})
 
+    def test_a2_must_keep_a2_p_finite_at_the_top_pump(self):
+        # sin(sqrt(a2 p)) is sin(inf), a math domain error, where a2 p overflows
+        with pytest.raises(ModelDomainError, match=r"a2 must be >= 0 with a2 \* 30.0 mW finite"):
+            replace(CURVE, a2=1e308)
+        top = replace(CURVE, a2=math.nextafter(sys.float_info.max / SUPPORTED_PUMP_MAX_MW, 0.0))
+        assert 0.0 <= up_efficiency(top, SUPPORTED_PUMP_MAX_MW) <= top.a1
+        assert np.isfinite(_nep_grid(top, np.linspace(0.0, SUPPORTED_PUMP_MAX_MW, 9))[1:]).all()
+
 
 class TestDarkPerWindow:
     def test_per_mode_quoted_point(self):

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -170,15 +171,21 @@ class TestScenarioValidation:
             {"alpha_db_per_km": math.inf},
             {"delay_n": math.inf},
             {"dead_time_delta": math.inf},
+            {"delay_n": 2**1024},
+            {"delay_n": 10**400},
         ],
     )
     def test_rejects(self, override):
         with pytest.raises(ModelDomainError):
             si_scenario(**override)
 
+    def test_largest_float_delay_is_accepted(self):
+        assert si_scenario(delay_n=int(sys.float_info.max)).delay_n == int(sys.float_info.max)
+
     def test_default_delta_is_inverse_detector_count(self):
-        assert si_scenario().effective_dead_time_delta == 0.5
-        assert si_scenario(dead_time_delta=1.0).effective_dead_time_delta == 1.0
+        assert si_scenario().dead_time_delta == 0.5
+        assert si_scenario() == si_scenario(dead_time_delta=0.5)
+        assert si_scenario(dead_time_delta=1.0).dead_time_delta == 1.0
 
     def test_replace_for_sweeps(self):
         s = si_scenario(100.0)
@@ -191,7 +198,7 @@ class TestScenarioValidation:
 
 class TestTrialScenario:
     @pytest.mark.parametrize("detector", [SI, INGAAS], ids=["si", "ingaas"])
-    @pytest.mark.parametrize("delta", [None, 0.0, 0.7])
+    @pytest.mark.parametrize("delta", [0.5, 0.0, 0.7])
     def test_equals_replace(self, detector, delta):
         s = si_scenario(100.0, delay_n=10, detector=detector, dead_time_delta=delta)
         for mu, length in ((0.2, 100.0), (0.013, 0.0), (1.0, 412.5)):

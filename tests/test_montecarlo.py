@@ -374,6 +374,41 @@ class TestStatisticalCoverage:
         assert hits >= 47
 
 
+class TestDrawAtItsLimit:
+    """A window's uniform equal to its limit is not below it: an error or an attack needs u < p.
+
+    Every window of the certain-click scenario is a signal click, so chunk
+    0's stream holds n signal and n dark words, then the n error uniforms,
+    then the n attack uniforms.
+    """
+
+    N = 64
+    SEED = 5
+
+    def draws(self):
+        rng = montecarlo._chunk_rng(self.SEED, 0)
+        rng.random(2 * self.N)  # the signal and the dark words
+        return rng.random(self.N), rng.random(self.N)
+
+    def test_error_uniform_equal_to_the_baseline_error(self):
+        u, _ = self.draws()
+        b = float(next(x for x in u if x < 0.5))
+        cfg = McConfig(scenario=always_click_scenario(b), n_pulses=self.N, seed=self.SEED)
+        result = simulate_link(cfg)
+        assert result.errors == int(np.count_nonzero(u < b)) == reference_sample(cfg, False).errors
+
+    def test_attack_uniform_equal_to_the_attacked_fraction(self):
+        # b = 0, so a window errs only if attacked, with Bob's N = 1 against Eve's M = 2,
+        # and then with probability 1/4
+        u, a = self.draws()
+        fraction = float(next(x for x, y in zip(a, u) if y < 0.25))
+        cfg = McConfig(scenario=always_click_scenario(), n_pulses=self.N, seed=self.SEED,
+                       ir_fraction=fraction, eve_delay_m=2, bob_delay_choices=(1,))
+        result = simulate_intercept_resend(cfg)
+        expected = int(np.count_nonzero((a < fraction) & (u < 0.25)))
+        assert result.errors == expected == reference_sample(cfg, True).errors
+
+
 class TestMcConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -397,6 +432,8 @@ class TestMcConfigValidation:
             {"eve_delay_m": math.nan},
             {"bob_delay_choices": (math.nan,)},
             {"bob_delay_choices": (1, math.inf)},
+            {"bob_delay_choices": (10**400,), "ir_fraction": 1.0},
+            {"bob_delay_choices": (1, 2**1024)},
         ],
     )
     def test_rejects(self, kwargs):

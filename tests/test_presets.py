@@ -166,6 +166,11 @@ class TestPresetParsing:
         # the column of the value's first character, just after "= "
         assert (info.value.line, info.value.column) == (line, new.index("= ") + 3)
 
+    def test_unit_overhead_accepted(self):
+        # f = 1 is the Shannon limit, the least overhead a preset may give
+        text = (preset_directory() / "fig3.preset").read_text()
+        assert parse_preset("fig3", text.replace("f = 1.16", "f = 1")).f == 1.0
+
     @pytest.mark.parametrize(
         "old, new",
         [

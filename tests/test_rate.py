@@ -1,10 +1,11 @@
+import importlib.util
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dpsrk
 from dpsrk import link, security
@@ -24,7 +25,6 @@ from dpsrk.rate import (
     max_secure_distance,
     optimize_mu,
     secure_rate,
-    secure_rate_from_parts,
 )
 from dpsrk.security import CASCADE_EC_TABLE
 
@@ -55,16 +55,6 @@ class TestBinaryEntropy:
             binary_entropy(-0.1)
         with pytest.raises(ModelDomainError):
             binary_entropy(math.nan)
-
-
-class TestSecureRateFromParts:
-    def test_hand_evaluated_point(self):
-        # nu p_click (tau - f H(e)) at round-number inputs, 50-digit oracle
-        r = secure_rate_from_parts(1e9, 3.5e-4, 0.01, 0.97789, 1.16)
-        assert r == pytest.approx(309459.48682626006, rel=1e-9)
-
-    def test_clamped_at_zero(self):
-        assert secure_rate_from_parts(1e9, 1e-3, 0.14, 0.0, 1.35) == 0.0
 
 
 class TestSecureRate:
@@ -324,6 +314,30 @@ class TestMaxSecureDistance:
         with pytest.raises(ModelDomainError):
             max_secure_distance(s, HYBRID_NOMEM, r_min=0.0)
 
+    # 7.9 dB/km and a 1 us dead time at 10 GHz: the corrected rate peaks near
+    # 2.9 km, between the walk points 2 and 4
+    WINDOW = si_scenario(0.0, detector=quiet_detector(1e-6), alpha_db_per_km=7.9, clock_hz=1e10)
+
+    def test_floor_at_a_walk_points_uncorrected_rate(self):
+        # the uncorrected rate at 4 km equals r_min, and the window below it is above r_min
+        s = self.WINDOW
+        r_min = secure_rate(replace(s, length_km=4.0), HYBRID_NOMEM).secure_rate_hz
+        found = max_secure_distance(s, HYBRID_NOMEM, r_min)
+
+        def above(length):
+            point = secure_rate(replace(s, length_km=length), HYBRID_NOMEM)
+            return point.secure_rate_deadtime_hz > r_min
+
+        assert 2.9 < found < 4.0
+        assert above(found) and not above(found + 0.01)
+
+    def test_floor_at_the_uncorrected_rate_at_zero(self):
+        # the walk stops where the uncorrected rate first reaches r_min, and says so
+        s = self.WINDOW
+        r_min = secure_rate(s, HYBRID_NOMEM).secure_rate_hz
+        with pytest.raises(NoSecureDistanceError, match=r"at L = 0$"):
+            max_secure_distance(s, HYBRID_NOMEM, r_min)
+
 
 def reference_max_secure_distance(s, a, r_min=0.0, *, f_fixed=None):
     """``max_secure_distance``'s walk alone, without the scan for a window it stepped over."""
@@ -519,7 +533,7 @@ def reference_secure_rate(s, a, *, f_fixed=None):
         except ModelDomainError:
             flags.add(FLAG_ABOVE_EC_RANGE)
         else:
-            r = secure_rate_from_parts(s.clock_hz, p_click, e, tau, f_used)
+            r = max(0.0, s.clock_hz * p_click * (tau - f_used * binary_entropy(e)))
             saturation = _dead_time_exponent(s, p_click)
             if saturation >= 1.0:
                 flags.add(FLAG_DEADTIME_LIMITED)
@@ -549,11 +563,11 @@ def link_scenario(mu, eff, dark, loss_db, length, b, clock, dead_time, delta, de
 
 
 # One scenario per branch of the chain that changes a flag or a NaN.
-CLAMPED = link_scenario(5.0, 1.0, 0.2, 0.0, 0.0, 0.01, 1e9, 1e-8, None, 10)
-NO_CLICKS = link_scenario(0.2, 0.0, 0.0, 0.0, 0.0, 0.01, 1e9, 1e-6, None, 1)
-ERROR_FREE = link_scenario(0.2, 0.35, 0.0, 2.1, 50.0, 0.0, 1e9, 45e-9, None, 100)
-ABOVE_RANGE = link_scenario(0.01, 0.35, 3.5e-8, 2.1, 10.0, 0.2, 1e9, 45e-9, None, 100)
-DEADTIME_LIMITED = link_scenario(0.2, 0.35, 3.5e-8, 2.1, 0.0, 0.01, 1e10, 45e-9, None, 100)
+CLAMPED = link_scenario(5.0, 1.0, 0.2, 0.0, 0.0, 0.01, 1e9, 1e-8, 0.5, 10)
+NO_CLICKS = link_scenario(0.2, 0.0, 0.0, 0.0, 0.0, 0.01, 1e9, 1e-6, 0.5, 1)
+ERROR_FREE = link_scenario(0.2, 0.35, 0.0, 2.1, 50.0, 0.0, 1e9, 45e-9, 0.5, 100)
+ABOVE_RANGE = link_scenario(0.01, 0.35, 3.5e-8, 2.1, 10.0, 0.2, 1e9, 45e-9, 0.5, 100)
+DEADTIME_LIMITED = link_scenario(0.2, 0.35, 3.5e-8, 2.1, 0.0, 0.01, 1e10, 45e-9, 0.5, 100)
 BRANCHES = {
     "clamped": CLAMPED, "no_clicks": NO_CLICKS, "error_free": ERROR_FREE,
     "above_range": ABOVE_RANGE, "deadtime_limited": DEADTIME_LIMITED,
@@ -570,7 +584,7 @@ link_scenarios = st.builds(
     b=st.one_of(st.just(0.0), st.floats(0.0, 0.49)),
     clock=st.one_of(st.just(1e10), st.floats(1e6, 1e10)),
     dead_time=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)),
-    delta=st.one_of(st.none(), st.floats(0.0, 2.0)),
+    delta=st.one_of(st.just(0.5), st.floats(0.0, 2.0)),
     delay_n=st.integers(1, 1000),
 )
 
@@ -638,10 +652,10 @@ class TestChainProperties:
         step_km=st.floats(0.0, 50.0),
     )
     # no dark counts and a subnormal signal: b p / p rounds below b
-    @example(s=link_scenario(1.0, 2.225073858507203e-309, 0.0, 0.0, 0.0, 0.25, 1e10, 0.0, None, 1),
+    @example(s=link_scenario(1.0, 2.225073858507203e-309, 0.0, 0.0, 0.0, 0.25, 1e10, 0.0, 0.5, 1),
              attack=HYBRID_NOMEM, f_fixed=None, step_km=0.0)
     # dark counts far below the signal: the signal/dark mean of b and 1/2 rounds below b
-    @example(s=link_scenario(0.7, 1.0, 1e-20, 0.0, 0.0, 0.1, 1e10, 0.0, None, 1),
+    @example(s=link_scenario(0.7, 1.0, 1e-20, 0.0, 0.0, 0.1, 1e10, 0.0, 0.5, 1),
              attack=HYBRID_NOMEM, f_fixed=None, step_km=0.0)
     def test_bounds_and_monotone_in_length(self, s, attack, f_fixed, step_km):
         point = secure_rate(s, attack, f_fixed=f_fixed)
@@ -655,17 +669,89 @@ class TestChainProperties:
         assert rate <= point.secure_rate_hz * (1.0 + 1e-12)
 
 
-finite = st.floats(-1e3, 1e3)
+ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+
+
+def load_oracle():
+    spec = importlib.util.spec_from_file_location("dpsrk_bench_oracle", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def relatively_close(a: float, b: float, rel: float) -> bool:
+    """``check_point``'s comparison: NaN only equals NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return abs(a - b) <= rel * abs(b)
+
+
+class TestAgainstBenchOracle:
+    """``secure_rate`` against ``bench/oracle.py``, a second chain written from the README.
+
+    The tolerances are those of the benchmark's ``check_point``, except for
+    the rates.  ``tau - f H(e)`` cancels where its terms meet, so a rate may
+    differ by the sifted rate times tau's own difference plus 1e-12 of
+    ``|tau| + f H(e)``.  The oracle assumes delta = 1/2.  Its plain
+    ``1 - (1 + mu) e^-mu`` loses digits below mu = 0.01, so individual
+    attacks are checked only above it.
+    """
+
+    oracle = load_oracle()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=link_scenarios.map(lambda s: replace(s, dead_time_delta=0.5)),
+        attack=st.sampled_from(ATTACKS),
+        f_fixed=st.one_of(st.none(), st.floats(1.0, 2.0)),
+    )
+    def test_layers_and_flags(self, s, attack, f_fixed):
+        assume(attack.hybrid or s.mu >= 0.01)
+        # The chains round p_signal in another order, and below the normal
+        # floats that rounding is not relative.  The oracle's QBER numerator
+        # b p_signal must not underflow either: without dark counts it would
+        # give 0 for a QBER that is b.
+        raw_signal = link._click_terms(s, s.mu)[0]
+        assume(raw_signal >= 4.0 * sys.float_info.min or s.detector.efficiency == 0.0)
+        assume(s.baseline_error == 0.0 or s.baseline_error * raw_signal >= sys.float_info.min)
+        d = s.detector
+        ref = self.oracle.rate_point(
+            mu=s.mu, eta=d.efficiency, dark=d.dark_per_window, loss_db=d.receiver_loss_db,
+            dead_time=d.dead_time, alpha=s.alpha_db_per_km, length=s.length_km,
+            clock=s.clock_hz, b=s.baseline_error, n=s.delay_n, attack=attack.value,
+            f_fixed=f_fixed,
+        )
+        point = secure_rate(s, attack, f_fixed=f_fixed)
+        for name in ("p_signal", "p_dark", "p_click", "qber"):
+            assert relatively_close(getattr(point, name), ref[name], 1e-9), name
+        assert relatively_close(point.f_used, ref["f"], 1e-12)
+        assert relatively_close(point.sifted_rate_hz, ref["sifted"], 1e-9)
+        if not ref["tau_in_range"]:
+            return  # the collision bound past its turning point, which check_point skips
+        tau_error = abs(point.tau - ref["tau"])
+        assert tau_error <= 1e-9
+        if not math.isnan(ref["f"]):
+            bound = ref["sifted"] * (tau_error + 1e-12 * (abs(ref["tau"]) + ref["f"] * ref["h"]))
+            assert abs(point.secure_rate_hz - ref["secure"]) <= bound
+            assert abs(point.secure_rate_deadtime_hz - ref["secure_dt"]) <= bound
+        if not ref["ambiguous"]:
+            assert set(point.flags) == ref["flags"]
 
 
 class TestClampForms:
     """The conditional clamps give the bits of the ``max``/``min`` builtins they replace."""
 
-    @given(x=st.one_of(finite, st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])))
-    def test_secure_rate_from_parts(self, x):
-        # tau = x, f H(e) = 0 at e = 0, so the clamped value is x itself
-        want = max(0.0, 1.0 * 1.0 * (x - 1.0 * binary_entropy(0.0)))
-        assert repr(secure_rate_from_parts(1.0, 1.0, 0.0, x, 1.0)) == repr(want)
+    def test_secure_rate_underflowing_to_minus_zero(self):
+        # a subnormal sifted rate times a margin tau - f H(e) just below 0 is
+        # -0.0, which the clamp must make 0.0 as max(0.0, r) does
+        s = link_scenario(0.2, 5e-315, 0.0, 0.0, 0.0, 0.01, 1e6, 0.0, 0.5, 1)
+        point = secure_rate(s, HYBRID_NOMEM, f_fixed=1.0)
+        h = binary_entropy(point.qber)
+        f = point.tau / h
+        while point.tau - f * h >= 0.0:
+            f = math.nextafter(f, math.inf)
+        assert repr(s.clock_hz * point.p_click * (point.tau - f * h)) == "-0.0"
+        assert repr(secure_rate(s, HYBRID_NOMEM, f_fixed=f).secure_rate_hz) == "0.0"
 
     @given(e=st.floats(0.0, 0.5), gamma=st.floats(0.0, 1.0), n=st.integers(1, 1000))
     @example(e=0.0, gamma=-0.0, n=1)  # -0.0 - 0.0 is -0.0, which the clamp makes 0.0

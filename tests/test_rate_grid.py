@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpsrk import rate
+from dpsrk import rate, security
 from dpsrk.rate import _grid_rates
 from dpsrk._search import golden_min, grid_bracket
 from dpsrk.detector import DetectorSpec
-from dpsrk.link import LinkScenario
+from dpsrk.link import LinkScenario, channel_stats
 from dpsrk.presets import load_presets
 from dpsrk.rate import optimize_mu, secure_rate
 from dpsrk.security import AttackModel, poisson_multiphoton
@@ -45,19 +45,19 @@ scenarios = st.builds(
     b=st.one_of(st.just(0.0), st.floats(0.0, 0.49)),
     clock=st.floats(1e6, 1e10),
     dead_time=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)),
-    delta=st.one_of(st.none(), st.floats(0.0, 2.0)),
+    delta=st.one_of(st.just(0.5), st.floats(0.0, 2.0)),
     delay_n=st.integers(1, 1000),
 )
 
 # Each example reaches one branch of the scalar chain:
 # p_click clamped at 1, QBER above the correction table, beta <= 0, no
 # errors at all (H(0) = 0), past the collision bound's turning point, no clicks.
-CLAMPED = scenario(1.0, 0.2, 0.0, 0.2, 0.0, 0.01, 1e9, 1e-8, None, 10)
-ABOVE_TABLE = scenario(0.3, 1e-4, 2.0, 0.2, 100.0, 0.01, 1e9, 0.0, None, 10)
-PNS = scenario(0.35, 3.5e-8, 2.1, 0.21, 100.0, 0.01, 1e9, 45e-9, None, 100)
-ERROR_FREE = scenario(0.35, 0.0, 2.1, 0.21, 50.0, 0.0, 1e9, 45e-9, None, 100)
-PAST_TURN = scenario(1.0, 2e-3, 3.0, 0.21, 50.0, 0.01, 1e9, 0.0, None, 100)
-NO_CLICKS = scenario(0.0, 0.0, 0.0, 0.2, 0.0, 0.01, 1e9, 1e-6, None, 1)
+CLAMPED = scenario(1.0, 0.2, 0.0, 0.2, 0.0, 0.01, 1e9, 1e-8, 0.5, 10)
+ABOVE_TABLE = scenario(0.3, 1e-4, 2.0, 0.2, 100.0, 0.01, 1e9, 0.0, 0.5, 10)
+PNS = scenario(0.35, 3.5e-8, 2.1, 0.21, 100.0, 0.01, 1e9, 45e-9, 0.5, 100)
+ERROR_FREE = scenario(0.35, 0.0, 2.1, 0.21, 50.0, 0.0, 1e9, 45e-9, 0.5, 100)
+PAST_TURN = scenario(1.0, 2e-3, 3.0, 0.21, 50.0, 0.01, 1e9, 0.0, 0.5, 100)
+NO_CLICKS = scenario(0.0, 0.0, 0.0, 0.2, 0.0, 0.01, 1e9, 1e-6, 0.5, 1)
 MUS = [1e-6, 1e-3, 0.01, 0.1, 0.3, 0.77, 1.0]
 
 
@@ -84,6 +84,41 @@ def test_array_pass_agrees_with_scalar_chain(s, attack, f_fixed, mus):
         assert sift == point.sifted_rate_hz
         want = point.secure_rate_deadtime_hz
         assert abs(max(0.0, r) - want) <= 1e-12 * max(want, sift)
+
+
+@pytest.mark.parametrize("f_fixed", [None, 1.16])
+@pytest.mark.parametrize("attack", ATTACKS, ids=[a.value for a in ATTACKS])
+def test_qber_at_the_tables_last_breakpoint_is_in_range(attack, f_fixed):
+    # b = 0.15 without dark counts makes every QBER the table's last breakpoint exactly
+    s = scenario(0.35, 0.0, 2.1, 0.21, 10.0, 0.15, 1e9, 45e-9, 0.5, 10)
+    rates, sifted = _grid_rates(s, attack, np.array(MUS), f_fixed)
+    for mu, r, sift in zip(MUS, rates, sifted):
+        point = secure_rate(replace(s, mu=mu), attack, f_fixed=f_fixed)
+        assert point.qber == 0.15
+        assert rate.FLAG_ABOVE_EC_RANGE not in point.flags
+        assert math.isfinite(r)
+        assert abs(max(0.0, r) - point.secure_rate_deadtime_hz) <= 1e-12 * sift
+
+
+def test_beta_exactly_zero_gives_no_key():
+    # Without dark counts or loss p_click = mu eta, so eta = p_m / mu gives
+    # beta = 0 wherever mu (p_m / mu) rounds back to p_m.  The collision bound
+    # is defined only for beta > 0, and neither chain may evaluate it there.
+    def beta_is_zero(mu):
+        p_m = poisson_multiphoton(mu)
+        array_p_m = security._multiphoton(np.array([mu]), np.exp, np.expm1, np.where)[0]
+        return mu * (p_m / mu) == p_m == array_p_m
+
+    mu = next(mu for mu in (k / 64 for k in range(1, 65)) if beta_is_zero(mu))
+    base = scenario(poisson_multiphoton(mu) / mu, 0.0, 0.0, 0.0, 0.0, 0.01, 1e9, 0.0, 0.5, 1)
+    s = replace(base, mu=mu)
+    assert security.single_photon_fraction(channel_stats(s).p_click, poisson_multiphoton(mu)) == 0.0
+    for attack in (IND_MEM, IND_NOMEM):
+        point = secure_rate(s, attack)
+        assert (point.tau, point.secure_rate_hz) == (0.0, 0.0)
+        assert rate.FLAG_INSECURE in point.flags
+        rates, _ = _grid_rates(base, attack, np.array([mu]))
+        assert rates[0] < 0.0  # no key: tau = 0 leaves -f H(e)
 
 
 def test_examples_reach_every_branch():

@@ -213,13 +213,13 @@ class TestBuild:
         sf = parse_scenario(UPCONV)
         scenario, _ = sf.build(0.0)
         assert scenario.dead_time_delta == 1.0
-        assert scenario.effective_dead_time_delta == 1.0
 
     def test_default_delta_none(self):
+        # a file with no delta key gives the two-detector delta
         sf = parse_scenario(BASIC)
         scenario, _ = sf.build(0.0)
-        assert scenario.dead_time_delta is None
-        assert scenario.effective_dead_time_delta == 0.5
+        assert sf.delta == 0.5
+        assert scenario.dead_time_delta == 0.5
 
 
 class TestScenarioFileEquality:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -280,6 +281,9 @@ class TestIrErrorFloor:
         (lambda: ir_error_floor(math.inf), "delay_n must be an integer"),
         (lambda: ir_error_floor(2.5), "delay_n must be an integer"),
         (lambda: ECTable(((0.01, 1.16), (0.01, 1.2), (0.15, 1.35))), "strictly increasing"),
+        (lambda: surviving_fraction(0.2, 0.1, 10**400, False), "delay_n must be an integer >= 1"),
+        (lambda: shrink_hybrid(0.01, 0.9, 10**400), "delay_n must be an integer >= 1"),
+        (lambda: ir_error_floor(10**400), "delay_n must be an integer >= 1"),
     ],
     ids=[
         "hybrid-delay-0", "hybrid-gamma", "hybrid-e", "individual-beta", "individual-e",
@@ -288,12 +292,21 @@ class TestIrErrorFloor:
         "surviving-mu-nan", "surviving-delay-nan", "hybrid-delay-nan", "ir-floor-nan",
         "bs-alpha-nan", "bs-alpha-negative", "bs-length-negative", "surviving-delay-inf",
         "surviving-delay-fraction", "hybrid-delay-inf", "hybrid-delay-fraction", "ir-floor-inf",
-        "ir-floor-fraction", "ec-table-equal-breakpoints",
+        "ir-floor-fraction", "ec-table-equal-breakpoints", "surviving-delay-huge",
+        "hybrid-delay-huge", "ir-floor-huge",
     ],
 )
 def test_out_of_range_argument_raises(call, message):
     with pytest.raises(ModelDomainError, match=message):
         call()
+
+
+@pytest.mark.parametrize("n", [int(sys.float_info.max), sys.float_info.max])
+def test_largest_float_delay_is_accepted(n):
+    # every delay up to the largest float converts to a float, so none overflows
+    assert surviving_fraction(0.2, 0.1, n, False) == 1.0
+    assert shrink_hybrid(0.01, 0.9, n) == 0.9
+    assert ir_error_floor(n) == 0.5
 
 
 class TestAttackModel:
