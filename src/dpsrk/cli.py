@@ -192,6 +192,9 @@ def _cmd_sweep(args) -> int:
     if not args.lo < args.hi:
         raise UsageError("--lo must be < --hi")
     values = [args.lo + (args.hi - args.lo) * i / (args.steps - 1) for i in range(args.steps)]
+    # finite ends can still overflow hi - lo or its multiples
+    if not all(map(math.isfinite, values)):
+        raise UsageError("--lo, --hi and --steps overflow the step arithmetic")
     if args.axis == "distance":
         _reject_given((("--length", args.length),), "only applies with --axis mu or pump")
         length = values[0]

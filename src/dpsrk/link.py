@@ -70,10 +70,17 @@ class LinkScenario:
 def _trial_scenario(s: LinkScenario, mu: float, length_km: float) -> LinkScenario:
     """``dataclasses.replace(s, mu=mu, length_km=length_km)``, for the solvers' trial points.
 
-    The positional constructor costs under half of ``replace``'s generic
-    field loop; ``__post_init__`` still checks the result.  It must pass
-    every field in order, which ``tests/test_link.py`` pins.
+    ``s`` was checked when it was built, so a trial whose ``mu`` and length
+    pass ``__post_init__``'s two checks is a copy of ``s``'s fields with
+    those two set, made without the generated ``__init__``.  Any other trial
+    goes through the positional constructor, which raises the
+    ``ModelDomainError`` that ``replace`` would; it must pass every field in
+    order, which ``tests/test_link.py`` pins.
     """
+    if 0.0 < mu < math.inf and 0.0 <= length_km < math.inf:
+        trial = object.__new__(LinkScenario)
+        trial.__dict__.update(s.__dict__, mu=mu, length_km=length_km)
+        return trial
     return LinkScenario(
         mu, s.alpha_db_per_km, length_km, s.clock_hz, s.baseline_error, s.detector,
         s.delay_n, s.dead_time_delta,
@@ -122,5 +129,9 @@ def channel_stats(s: LinkScenario) -> ChannelStats:
         qber = s.baseline_error if raw_click > 0.0 else math.nan
     # conditional expressions in place of min(x, 1.0): the same value for NaN and -0.0
     p_signal = 1.0 if raw_signal > 1.0 else raw_signal
-    return ChannelStats(p_signal, dark, 1.0 if clamped else raw_click, qber, clamped)
+    # ChannelStats(...) without the generated __new__'s frame; that fills no
+    # default, so a field appended to ChannelStats must be passed here too
+    return tuple.__new__(
+        ChannelStats, (p_signal, dark, 1.0 if clamped else raw_click, qber, clamped)
+    )
 

@@ -184,7 +184,9 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
             r = s.clock_hz * p_click * (tau - f_used * (_entropy(e) if e > 0.0 else 0.0))
             r = r if r > 0.0 else 0.0  # max(0.0, r) without the call; same for NaN and -0.0
             saturation = _dead_time_exponent(s, p_click)
-    return RatePoint(
+    # RatePoint(...) without the generated __new__'s frame; that fills no
+    # default, so a field appended to RatePoint must be passed here too
+    return tuple.__new__(RatePoint, (
         s.length_km,
         p_signal,
         p_dark,
@@ -196,7 +198,7 @@ def secure_rate(s: LinkScenario, a: AttackModel, *, f_fixed: float | None = None
         r,
         r * math.exp(-saturation),
         _FLAG_SETS[clamped, above, saturation >= 1.0, tau == 0.0 or r == 0.0],
-    )
+    ))
 
 
 def asymptotic_rate(s: LinkScenario, a: AttackModel) -> float:

@@ -873,6 +873,25 @@ class TestUsage:
         assert (rc, out) == (1, "")
         assert message in err
 
+    # finite ends whose step arithmetic overflows: (hi - lo) * i is inf in the
+    # first, and hi - lo itself in the second (inf * 0 is NaN at the first step)
+    @pytest.mark.parametrize("axis", ["distance", "mu"])
+    @pytest.mark.parametrize(
+        "ends", [["--lo", "0", "--hi", "1.7e308"], ["--lo=-1e308", "--hi=1e308"]],
+        ids=["product", "difference"],
+    )
+    def test_sweep_overflowing_steps_name_the_options(self, capsys, axis, ends):
+        rc, out, err = run(capsys, "sweep", "--preset", "fig3", "--axis", axis, *ends,
+                           "--steps", "3")
+        assert (rc, out) == (1, "")
+        assert err == "error: --lo, --hi and --steps overflow the step arithmetic\n"
+
+    def test_sweep_near_the_largest_float_still_runs(self, capsys):
+        rc, out, err = run(capsys, "sweep", "--preset", "fig3", "--axis", "distance",
+                           "--lo", "0", "--hi", "1e308", "--steps", "2")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[2].startswith("1e+308,")
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

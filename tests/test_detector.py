@@ -27,7 +27,10 @@ from dpsrk.detector import (
 )
 from dpsrk.errors import ModelDomainError
 
+from test_rate import load_oracle
+
 CURVE = PPLN_UPCONVERTER
+ORACLE = load_oracle()
 FIRST_MAX_PUMP = (math.pi / 2) ** 2 / CURVE.a2
 
 
@@ -327,6 +330,33 @@ class TestPumpGridScreen:
             else:
                 # both overflow to inf where the efficiency is subnormal
                 assert math.isclose(got, nep(up_dark_rate(curve, p), eta), rel_tol=1e-12)
+
+    # bench/oracle.py sums the dark-rate powers where _dark_poly nests them
+    # (Horner), and squares sin where _efficiency multiplies it twice; over
+    # the PPLN fit and random scaled fits the NEPs differ by under 7e-16.
+    ORACLE_REL = 2e-15
+
+    def assert_oracle_nep(self, curve, points):
+        pumps = np.array(points)
+        got = _nep_grid(curve, pumps)
+        b = (curve.b0, curve.b1, curve.b2, curve.b3, curve.b4)
+        want = ORACLE.nep_grid(pumps, curve.a1, curve.a2, b)
+        for p, g, w in zip(points, got.tolist(), want.tolist()):
+            if w == math.inf:  # the oracle's inf is where the efficiency is 0
+                assert g == math.inf and up_efficiency(curve, p) == 0.0, p
+            else:
+                assert abs(g - w) <= self.ORACLE_REL * w, p
+
+    def test_nep_agrees_with_bench_oracle_on_the_ppln_fit(self):
+        self.assert_oracle_nep(CURVE, (SUPPORTED_PUMP_MAX_MW * np.arange(2049) / 2048).tolist())
+        self.assert_oracle_nep(CURVE, [0.0, FIRST_MAX_PUMP, 4 * FIRST_MAX_PUMP, 30.0])
+
+    @settings(deadline=None)
+    @given(curve=curves, points=st.lists(st.floats(1e-100, SUPPORTED_PUMP_MAX_MW), max_size=64))
+    def test_nep_agrees_with_bench_oracle_on_random_fits(self, curve, points):
+        # a subnormal efficiency overflows the oracle's NEP with a warning
+        grid = (SUPPORTED_PUMP_MAX_MW * np.arange(257) / 256).tolist()
+        self.assert_oracle_nep(curve, grid + points)
 
     def test_first_solve_without_numpy_scans_every_point(self):
         # a fresh process scans the grid at its first solve and screens it

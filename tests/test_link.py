@@ -1,6 +1,7 @@
 import math
+import pickle
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -210,11 +211,51 @@ class TestTrialScenario:
          (0.2, -1.0), (0.2, math.nan), (0.2, math.inf)],
     )
     def test_invalid_trial_rejected(self, mu, length):
-        with pytest.raises(ModelDomainError):
-            _trial_scenario(si_scenario(), mu, length)
+        s = si_scenario()
+        with pytest.raises(ModelDomainError) as expected:
+            replace(s, mu=mu, length_km=length)
+        with pytest.raises(ModelDomainError) as got:
+            _trial_scenario(s, mu, length)
+        assert str(got.value) == str(expected.value)
+
+    def test_cloned_trial_is_frozen(self):
+        trial = _trial_scenario(si_scenario(), 0.3, 25.0)
+        with pytest.raises(FrozenInstanceError):
+            trial.mu = 0.4
+        with pytest.raises(FrozenInstanceError):
+            trial.length_km = 50.0
+        assert (trial.mu, trial.length_km) == (0.3, 25.0)
+
+    def test_cloned_trial_hashes_and_pickles_as_replace(self):
+        s = si_scenario(100.0, detector=INGAAS, dead_time_delta=0.7)
+        trial = _trial_scenario(s, 0.3, 25.0)
+        assert type(trial) is LinkScenario
+        assert hash(trial) == hash(replace(s, mu=0.3, length_km=25.0))
+        copy = pickle.loads(pickle.dumps(trial))
+        assert copy == trial and hash(copy) == hash(trial)
+        # the source keeps its own mu and length
+        assert (s.mu, s.length_km) == (0.2, 100.0)
+
+    @given(
+        mu=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        length=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    )
+    def test_equals_replace_or_raises_its_error(self, mu, length):
+        s = si_scenario(detector=INGAAS, dead_time_delta=0.7)
+        try:
+            want = replace(s, mu=mu, length_km=length)
+        except ModelDomainError as error:
+            with pytest.raises(ModelDomainError) as got:
+                _trial_scenario(s, mu, length)
+            assert str(got.value) == str(error)
+        else:
+            trial = _trial_scenario(s, mu, length)
+            assert trial == want
+            assert repr(trial) == repr(want)  # the same bits, -0.0 included
 
     def test_fields_are_the_ones_it_passes(self):
-        # _trial_scenario passes every field positionally; a new field must be added there
+        # an invalid trial falls back to passing every field positionally; a
+        # new field must be added there
         assert [f.name for f in fields(LinkScenario)] == [
             "mu", "alpha_db_per_km", "length_km", "clock_hz", "baseline_error", "detector",
             "delay_n", "dead_time_delta",

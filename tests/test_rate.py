@@ -641,6 +641,54 @@ class TestBitIdentity:
         assert math.isnan(point.f_used) == above
 
 
+# One scenario and attack per way the chain fills its point.
+RECORD_BRANCHES = {
+    "no_clicks": (NO_CLICKS, HYBRID_NOMEM),
+    "clamped": (CLAMPED, HYBRID_NOMEM),
+    "above_range": (ABOVE_RANGE, HYBRID_NOMEM),
+    # p_m = 1 - 2/e is above p_click = 0.01
+    "beta_nonpositive": (link_scenario(1.0, 0.01, 0.0, 0.0, 0.0, 0.01, 1e9, 0.0, 0.5, 1), IND_MEM),
+    # tau = 0.63 is below f H(e) = 0.67 at b = 0.12
+    "insecure": (link_scenario(0.2, 0.35, 0.0, 0.0, 0.0, 0.12, 1e9, 0.0, 0.5, 1), HYBRID_NOMEM),
+    "deadtime_limited": (DEADTIME_LIMITED, HYBRID_NOMEM),
+}
+
+
+class TestRecordsOnEachBranch:
+    """Each branch returns whole records of the declared types.
+
+    ``secure_rate`` and ``channel_stats`` build their named tuples with
+    ``tuple.__new__``, which fills no default: a field appended to either
+    record must also be filled there.
+    """
+
+    @pytest.mark.parametrize("branch", list(RECORD_BRANCHES))
+    def test_point_and_stats_are_whole_records(self, branch):
+        s, attack = RECORD_BRANCHES[branch]
+        point = secure_rate(s, attack)
+        stats = channel_stats(s)
+        assert type(point) is RatePoint
+        assert len(point) == len(RatePoint._fields)
+        assert type(stats) is ChannelStats
+        assert len(stats) == len(ChannelStats._fields)
+        assert point == RatePoint(*point) and stats == ChannelStats(*stats)
+
+    def test_branches_are_reached(self):
+        def point(name):
+            return secure_rate(*RECORD_BRANCHES[name])
+
+        assert point("no_clicks").p_click == 0.0
+        assert FLAG_CLAMPED in point("clamped").flags
+        assert FLAG_ABOVE_EC_RANGE in point("above_range").flags
+        s, _ = RECORD_BRANCHES["beta_nonpositive"]
+        assert security.poisson_multiphoton(s.mu) > point("beta_nonpositive").p_click
+        assert point("beta_nonpositive").tau == 0.0
+        insecure = point("insecure")
+        assert insecure.tau > 0.0 and insecure.secure_rate_hz == 0.0
+        assert FLAG_INSECURE in insecure.flags and FLAG_ABOVE_EC_RANGE not in insecure.flags
+        assert FLAG_DEADTIME_LIMITED in point("deadtime_limited").flags
+
+
 class TestChainProperties:
     """Bounds that hold at every layer of the chain, and the rate's fall with length."""
 

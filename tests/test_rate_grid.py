@@ -8,9 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from dpsrk import rate, security
+from dpsrk import link, rate, security
 from dpsrk.rate import _grid_rates
 from dpsrk._search import golden_min, grid_bracket
 from dpsrk.detector import DetectorSpec
@@ -20,6 +20,7 @@ from dpsrk.rate import optimize_mu, secure_rate
 from dpsrk.security import AttackModel, poisson_multiphoton
 
 from conftest import HYBRID_MEM, HYBRID_NOMEM, IND_MEM, IND_NOMEM, si_scenario
+from test_rate import load_oracle
 
 ATTACKS = (HYBRID_NOMEM, HYBRID_MEM, IND_MEM, IND_NOMEM)
 
@@ -84,6 +85,54 @@ def test_array_pass_agrees_with_scalar_chain(s, attack, f_fixed, mus):
         assert sift == point.sifted_rate_hz
         want = point.secure_rate_deadtime_hz
         assert abs(max(0.0, r) - want) <= 1e-12 * max(want, sift)
+
+
+ORACLE = load_oracle()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    s=scenarios.map(lambda s: replace(s, dead_time_delta=0.5)),
+    attack=st.sampled_from((HYBRID_NOMEM, HYBRID_MEM)),
+    f_fixed=st.one_of(st.none(), st.floats(1.0, 2.0)),
+    mus=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=16),
+)
+@example(s=ABOVE_TABLE, attack=HYBRID_NOMEM, f_fixed=None, mus=MUS)
+@example(s=ERROR_FREE, attack=HYBRID_MEM, f_fixed=1.16, mus=MUS)
+def test_array_pass_agrees_with_bench_oracle(s, attack, f_fixed, mus):
+    # bench/oracle.py's hybrid grid is written from the README, not from the
+    # package; it assumes delta = 1/2.  The same inputs as
+    # tests/test_rate.py::TestAgainstBenchOracle are left out: a subnormal
+    # p_signal, which the chains round in another order, and b p_signal
+    # underflowing, which the oracle's QBER reads as 0.  raw_signal rises
+    # with mu, so the least mu decides both.
+    d = s.detector
+    raw_signal = link._click_terms(s, min(mus))[0]
+    assume(raw_signal >= 4.0 * sys.float_info.min or (d.efficiency == 0.0 < d.dark_per_window))
+    assume(s.baseline_error == 0.0 or s.baseline_error * raw_signal >= sys.float_info.min)
+    rates, _ = _grid_rates(s, attack, np.array(mus), f_fixed)
+    want = ORACLE.hybrid_rate_grid(
+        np.array(mus), eta=d.efficiency, dark=d.dark_per_window, loss_db=d.receiver_loss_db,
+        dead_time=d.dead_time, alpha=s.alpha_db_per_km, length=s.length_km, clock=s.clock_hz,
+        b=s.baseline_error, n=s.delay_n, memory=attack.memory, f_fixed=f_fixed,
+    )
+    for mu, got, ref_rate in zip(mus, np.maximum(rates, 0.0).tolist(), want.tolist()):
+        ref = ORACLE.rate_point(
+            mu=mu, eta=d.efficiency, dark=d.dark_per_window, loss_db=d.receiver_loss_db,
+            dead_time=d.dead_time, alpha=s.alpha_db_per_km, length=s.length_km,
+            clock=s.clock_hz, b=s.baseline_error, n=s.delay_n, attack=attack.value,
+            f_fixed=f_fixed,
+        )
+        if f_fixed is None and abs(ref["qber"] - rate._EC_E_MAX) < 1e-12:
+            continue  # the chains' QBERs can round to either side of the table's end
+        if math.isnan(ref["f"]):  # above the table: no key in either chain
+            assert got == ref_rate == 0.0
+            continue
+        # the hybrid bound uses no numpy function, so the grid's tau is the scalar chain's
+        tau = secure_rate(link._trial_scenario(s, mu, s.length_km), attack, f_fixed=f_fixed).tau
+        tau_error = abs(tau - ref["tau"])
+        bound = ref["sifted"] * (tau_error + 1e-12 * (abs(ref["tau"]) + ref["f"] * ref["h"]))
+        assert abs(got - ref_rate) <= bound, (mu, got, ref_rate)
 
 
 @pytest.mark.parametrize("f_fixed", [None, 1.16])
