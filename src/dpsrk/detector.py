@@ -15,13 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._search import (
-    SCREEN_SLACK,
-    first_min_candidates,
-    golden_min,
-    grid_bracket,
-    screen_numpy,
-)
+from ._search import golden_min, grid_bracket
 from .errors import ModelDomainError
 
 # Pump powers (mW) the fitted curves are trusted on.  The quartic dark-rate
@@ -285,13 +279,8 @@ def optimize_pump(
     The NEP has one local minimum per efficiency fringe, so a coarse grid
     scan of 2049 points first brackets the global minimum and a
     golden-section search then refines the bracket to below 1e-6 mW.  Ties
-    break toward smaller pump.
-
-    The scalar objective scores the grid.  Once ``_search.screen_numpy``
-    gives numpy, the grid is first screened in one numpy pass and the
-    scalar objective re-scores only the points that may hold its minimum;
-    the first solve of a process without numpy scans every point.  Either
-    way the bracket and p* are those of a scalar scan.
+    break toward smaller pump.  ``_nep_grid`` screens the grid for
+    ``_search.grid_bracket``, so p* is that of a scalar scan.
 
     Raises:
         ModelDomainError: If the range is empty or leaves the supported
@@ -314,16 +303,11 @@ def optimize_pump(
             raise ModelDomainError(f"efficiency is zero at the degenerate pump range [{lo}, {hi}]")
         return PumpOperatingPoint(lo, up_efficiency(curve, lo), up_dark_rate(curve, lo))
 
-    n = _PUMP_GRID_STEPS
-    indices = None
-    np = screen_numpy()
-    if np is not None:
-        # the same floats, in the same arithmetic, as grid_bracket's points
-        neps = _nep_grid(curve, lo + (hi - lo) * np.arange(n + 1) / n)
-        # inf - inf at a zero-efficiency point is NaN, which is never kept
-        with np.errstate(invalid="ignore"):
-            indices = first_min_candidates(neps, SCREEN_SLACK * neps)
-    a, b, best = grid_bracket(objective, lo, hi, n, indices)
+    def screen(pumps):
+        neps = _nep_grid(curve, pumps)
+        return neps, neps, math.inf
+
+    a, b, best = grid_bracket(objective, lo, hi, _PUMP_GRID_STEPS, screen)
     if not math.isfinite(best):
         raise ModelDomainError(f"efficiency is zero over the whole pump range [{lo}, {hi}]")
     p_star = golden_min(objective, a, b, 1e-6)

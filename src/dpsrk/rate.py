@@ -13,13 +13,7 @@ import math
 from typing import NamedTuple
 
 from . import link, security
-from ._search import (
-    SCREEN_SLACK,
-    first_min_candidates,
-    golden_min,
-    grid_bracket,
-    screen_numpy,
-)
+from ._search import golden_min, grid_bracket
 from .errors import ModelDomainError, NoSecureDistanceError
 from .link import LinkScenario, _trial_scenario
 from .security import CASCADE_EC_TABLE, AttackModel
@@ -41,7 +35,6 @@ _EC_E_MAX = CASCADE_EC_TABLE.points[-1][0]
 
 # Below this error rate _entropy reads log2(1 - e) through log1p.
 _E_LOG1P = 1e-3
-_LN2 = math.log(2.0)
 
 # Longest link max_secure_distance searches before giving up.
 _L_MAX_KM = 20000.0
@@ -89,9 +82,9 @@ def _entropy(e, log2=math.log2, log1p=math.log1p, where=None):
     as in ``security._multiphoton``.
     """
     if where is None:
-        log2_rest = log1p(-e) / _LN2 if e < _E_LOG1P else log2(1.0 - e)
+        log2_rest = log1p(-e) / security._LN2 if e < _E_LOG1P else log2(1.0 - e)
     else:
-        log2_rest = where(e < _E_LOG1P, log1p(-e) / _LN2, log2(1.0 - e))
+        log2_rest = where(e < _E_LOG1P, log1p(-e) / security._LN2, log2(1.0 - e))
     return -e * log2(e) - (1.0 - e) * log2_rest
 
 
@@ -132,10 +125,9 @@ def _grid_rates(s: LinkScenario, a: AttackModel, mus, f_fixed: float | None = No
         else:
             p_m = security._multiphoton(mus, np.exp, np.expm1, np.where)
             beta = security._single_photon_fraction(p_click, p_m)
-            ratio, turn, arg, scale = security._collision_bound(e, beta, a.memory)
-            tau = np.where(
-                (beta > 0.0) & (ratio < turn), np.maximum(0.0, -scale * np.log2(arg)), 0.0
-            )
+            ratio, turn, scale = security._collision_bound(e, beta, a.memory)
+            log_arg = security._collision_log2(ratio, turn, np.log2, np.log1p, np.where)
+            tau = np.where((beta > 0.0) & (ratio < turn), np.maximum(0.0, -scale * log_arg), 0.0)
         h = np.where(e > 0.0, _entropy(e, np.log2, np.log1p, np.where), 0.0)
         f = np.interp(e, *zip(*CASCADE_EC_TABLE.points)) if f_fixed is None else f_fixed
         sifted = s.clock_hz * p_click
@@ -228,14 +220,8 @@ def optimize_mu(
     unimodal over a wide range once dead time matters) and golden-section
     search refines the bracket below 1e-5.  Ties break toward smaller mu.
     When the rate is zero over the whole range the returned point carries
-    the insecure flag.
-
-    The scalar chain scores the grid.  Once ``_search.screen_numpy`` gives
-    numpy, the grid is first screened in one numpy pass through the rate
-    chain and the scalar chain re-scores only the points that may hold its
-    maximum; the first solve of a process without numpy scans every point.
-    Either way the bracket, mu* and the returned point are those of a
-    scalar scan.
+    the insecure flag.  ``_grid_rates`` screens the grid for
+    ``_search.grid_bracket``, so the result is that of a scalar scan.
     """
     lo, hi = mu_range
     if not 0.0 < lo < hi <= 1.0:
@@ -247,15 +233,12 @@ def optimize_mu(
     def loss(mu: float) -> float:
         return -point(mu).secure_rate_deadtime_hz
 
-    n = _MU_GRID_STEPS
-    indices = None
-    np = screen_numpy()
-    if np is not None:
-        # the same floats, in the same arithmetic, as grid_bracket's points
-        rates, sifted = _grid_rates(s, a, lo + (hi - lo) * np.arange(n + 1) / n, f_fixed)
+    def screen(mus):
+        rates, sifted = _grid_rates(s, a, mus, f_fixed)
         # the scalar scan minimizes the rate clamped at 0, so only a positive rate can win
-        indices = first_min_candidates(-rates, SCREEN_SLACK * sifted, ceiling=0.0)
-    a_mu, b_mu, best = grid_bracket(loss, lo, hi, n, indices)
+        return -rates, sifted, 0.0
+
+    a_mu, b_mu, best = grid_bracket(loss, lo, hi, _MU_GRID_STEPS, screen)
     if -best <= 0.0:
         return lo, point(lo)
     mu_star = golden_min(loss, a_mu, b_mu, 1e-5)

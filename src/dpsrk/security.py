@@ -123,12 +123,37 @@ def _single_photon_fraction(p_click, p_m):
 
 
 def _collision_bound(e, beta, memory: bool):
-    """Ratio, its turning point, log argument and prefactor of the collision bound."""
+    """Ratio, its turning point and prefactor of the collision bound."""
     if memory:
-        x = e / beta
-        return x, 0.5, 0.5 + 2.0 * x - 2.0 * x * x, beta
-    y = e / (1.0 + beta)
-    return y, 0.25, 0.5 + 4.0 * y - 8.0 * y * y, (1.0 + beta) / 2.0
+        return e / beta, 0.5, beta
+    return e / (1.0 + beta), 0.25, (1.0 + beta) / 2.0
+
+
+# Above this share of its turning point, the collision bound's log argument
+# is within 0.005 of 1, and _collision_log2 takes its log through log1p.
+_NEAR_TURN = 0.9
+_LN2 = math.log(2.0)
+
+
+def _collision_log2(ratio, turn, log2=math.log2, log1p=math.log1p, where=None):
+    """log2 of the collision bound's argument, for a ratio below its turning point.
+
+    The argument ``1/2 + r/t - c r^2``, with ``c = 1/(2 t^2)``, is
+    ``1 - c (r - t)^2``: ``1 - 2(x - 1/2)^2`` with memory and
+    ``1 - 8(y - 1/4)^2`` without.  Near the turning point it nears 1, where
+    log2 keeps only its absolute precision, so there the log is
+    ``log1p(-c (r - t)^2) / ln 2``.
+    """
+    c = 0.5 / (turn * turn)
+    if where is None:
+        if ratio > _NEAR_TURN * turn:
+            return log1p(-c * (ratio - turn) ** 2) / _LN2
+        return log2(0.5 + ratio / turn - c * ratio * ratio)
+    return where(
+        ratio > _NEAR_TURN * turn,
+        log1p(-c * (ratio - turn) ** 2) / _LN2,
+        log2(0.5 + ratio / turn - c * ratio * ratio),
+    )
 
 
 def _surviving_fraction(mu, p_signal, delay_n: int, memory: bool):
@@ -182,11 +207,11 @@ def shrink_individual(e: float, beta: float, memory: bool) -> float:
         raise ModelDomainError(f"single-photon fraction must be <= 1, got {beta}")
     if not e >= 0.0:
         raise ModelDomainError(f"error rate must be >= 0, got {e}")
-    ratio, turn, arg, scale = _collision_bound(e, beta, memory)
+    ratio, turn, scale = _collision_bound(e, beta, memory)
     if ratio >= turn:
         return 0.0
     # conditional expressions in place of max(0.0, x): the same value for NaN and -0.0
-    tau = -scale * math.log2(arg)
+    tau = -scale * _collision_log2(ratio, turn)
     return tau if tau > 0.0 else 0.0
 
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dpsrk import rate, security
 from dpsrk.detector import DetectorSpec
@@ -80,6 +80,22 @@ def test_forms_switch_below_their_cutoffs(exp, expm1, log2, log1p, where):
     assert security._multiphoton(mu, exp, expm1, where) == security._poisson_tail(mu, exp)
     assert rate._entropy(e, log2, log1p, where) == (
         -e * log2(e) - (1.0 - e) * log1p(-e) / math.log(2.0)
+    )
+    # the collision bound keeps its textbook argument up to 0.9 of its turning
+    # point, where no preset point lies, and takes log1p past it
+    x, y = values(0.45), values(0.225)
+    assert security._collision_log2(x, 0.5, log2, log1p, where) == (
+        log2(0.5 + 2.0 * x - 2.0 * x * x)
+    )
+    assert security._collision_log2(y, 0.25, log2, log1p, where) == (
+        log2(0.5 + 4.0 * y - 8.0 * y * y)
+    )
+    x, y = values(math.nextafter(0.45, 1.0)), values(math.nextafter(0.225, 1.0))
+    assert security._collision_log2(x, 0.5, log2, log1p, where) == (
+        log1p(-2.0 * (x - 0.5) ** 2) / math.log(2.0)
+    )
+    assert security._collision_log2(y, 0.25, log2, log1p, where) == (
+        log1p(-8.0 * (y - 0.25) ** 2) / math.log(2.0)
     )
 
 
@@ -198,14 +214,19 @@ def oracle_shrink_hybrid(e, gamma, n):
         return float(max(tau, 0))
 
 
+def oracle_collision_tau(ratio, beta, memory):
+    """The collision bound's tau at ``ratio``, an mpf or a float, below its turning point."""
+    with mpmath.workdps(50):
+        x, beta = mpmath.mpf(ratio), mpmath.mpf(beta)
+        if memory:
+            return float(-beta * mpmath.log(mpmath.mpf(0.5) + 2 * x - 2 * x * x, 2))
+        return float(-(1 + beta) / 2 * mpmath.log(mpmath.mpf(0.5) + 4 * x - 8 * x * x, 2))
+
+
 def oracle_shrink_individual(e, beta, memory):
     with mpmath.workdps(50):
         e, beta = mpmath.mpf(e), mpmath.mpf(beta)
-        if memory:
-            x = e / beta
-            return float(-beta * mpmath.log(mpmath.mpf(0.5) + 2 * x - 2 * x * x, 2))
-        y = e / (1 + beta)
-        return float(-(1 + beta) / 2 * mpmath.log(mpmath.mpf(0.5) + 4 * y - 8 * y * y, 2))
+        return oracle_collision_tau(e / beta if memory else e / (1 + beta), beta, memory)
 
 
 @pytest.mark.parametrize(
@@ -227,11 +248,18 @@ def test_shrink_hybrid_against_oracle(e, gamma, n):
     assert close(security.shrink_hybrid(e, gamma, n), oracle_shrink_hybrid(e, gamma, n))
 
 
-# (e, beta, memory) with e / beta or e / (1 + beta) at most 0.9 of its turning point
+# (e, beta, memory) with e / beta or e / (1 + beta) at most 0.9 of its turning
+# point, then nearer it, where the ratio's float is exact (beta a power of 2 with
+# memory, beta = 1 without) and log2 of the bound's argument would lose up to
+# all of tau's digits
 @pytest.mark.parametrize(
     "e, beta, memory",
     [(1e-300, 1.0, True), (1e-14, 0.5, False), (0.01, 0.9, True), (0.01, 1e-3, False),
-     (0.2, 0.5, False), (0.2, 0.45, True), (1e-6, 2e-6, True), (0.3, 0.5, False)],
+     (0.2, 0.5, False), (0.2, 0.45, True), (1e-6, 2e-6, True), (0.3, 0.5, False),
+     (0.225, 0.5, True), (0.45, 1.0, False),
+     (0.2251, 0.5, True), (0.2499, 0.5, True), (0.12499999, 0.25, True),
+     (math.nextafter(0.5, 0.0), 1.0, True), (0.4501, 1.0, False), (0.4999, 1.0, False),
+     (0.49999999999, 1.0, False), (math.nextafter(0.5, 0.0), 1.0, False)],
 )
 def test_shrink_individual_against_oracle(e, beta, memory):
     want = oracle_shrink_individual(e, beta, memory)
@@ -261,7 +289,26 @@ def test_shrink_hybrid_against_oracle_random(e, gamma, n):
 def test_shrink_individual_below_its_turning_point(share, beta, memory):
     # e at a share of the way to the turning point e / beta = 1/2 or e / (1 + beta) = 1/4
     e = share * (0.5 * beta if memory else 0.25 * (1.0 + beta))
-    ratio, turn, _, _ = security._collision_bound(e, beta, memory)
+    ratio, turn, _ = security._collision_bound(e, beta, memory)
     assume(ratio < turn)
     want = oracle_shrink_individual(e, beta, memory)
     assert close_at_unit_scale(security.shrink_individual(e, beta, memory), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(share=st.floats(0.0, 1.0, exclude_max=True), beta=st.floats(1e-9, 1.0),
+       memory=st.booleans())
+@example(share=math.nextafter(1.0, 0.0), beta=1.0, memory=True)
+@example(share=0.9, beta=0.5, memory=False)
+def test_shrink_individual_relative_to_its_rounded_ratio(share, beta, memory):
+    # Rounding e / beta or e / (1 + beta) moves tau by about 2 turn / (turn -
+    # ratio) times that rounding, which no form of the bound undoes; from the
+    # float ratio on, tau keeps 1e-13 relative up to the turning point, in the
+    # float and the array form.
+    e = share * (0.5 * beta if memory else 0.25 * (1.0 + beta))
+    ratio, turn, scale = security._collision_bound(e, beta, memory)
+    assume(ratio < turn)
+    want = oracle_collision_tau(ratio, beta, memory)
+    assert close(security.shrink_individual(e, beta, memory), want)
+    log_arg = security._collision_log2(np.array([ratio]), turn, np.log2, np.log1p, np.where)
+    assert close(float(-scale * log_arg[0]), want)

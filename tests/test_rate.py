@@ -814,11 +814,11 @@ class TestClampForms:
         assert repr(security.surviving_fraction(mu, p_signal, n, memory)) == repr(want)
 
     @given(e=st.floats(0.0, 0.5), beta=st.floats(1e-9, 1.0), memory=st.booleans())
-    # just below the turning point the log argument rounds to 1: -scale * 0.0 is -0.0
+    # just below the turning point, where the log argument lies within an ulp of 1
     @example(e=math.nextafter(0.5, 0.0), beta=1.0, memory=True)
     def test_shrink_individual(self, e, beta, memory):
-        ratio, turn, arg, scale = security._collision_bound(e, beta, memory)
-        want = 0.0 if ratio >= turn else max(0.0, -scale * math.log2(arg))
+        ratio, turn, scale = security._collision_bound(e, beta, memory)
+        want = 0.0 if ratio >= turn else max(0.0, -scale * security._collision_log2(ratio, turn))
         assert repr(security.shrink_individual(e, beta, memory)) == repr(want)
 
     @given(s=link_scenarios)
