@@ -285,12 +285,9 @@ def _cmd_mc(args) -> int:
         eve_delay_m=1 if args.eve_m is None else args.eve_m,
         bob_delay_choices=args.bob_n,
     )
-    if args.mode == "ir":
-        result = montecarlo.simulate_intercept_resend(cfg)
-        p_ref, q_ref = montecarlo.intercept_resend_expectation(cfg)
-    else:
-        result = montecarlo.simulate_link(cfg)
-        p_ref, q_ref = montecarlo.link_expectation(cfg)
+    # link mode is intercept-resend at ir_fraction 0
+    result = montecarlo.simulate_intercept_resend(cfg)
+    p_ref, q_ref = montecarlo.intercept_resend_expectation(cfg)
 
     # Self-check z-scores use the analytic probabilities in the SE so a
     # single-window run cannot divide by zero.

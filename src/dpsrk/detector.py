@@ -192,8 +192,6 @@ class PumpOperatingPoint(NamedTuple):
 def _check_pump(pump_mw: float) -> None:
     # the chained comparison also rejects NaN
     if not 0.0 <= pump_mw <= SUPPORTED_PUMP_MAX_MW:
-        if pump_mw < 0.0:
-            raise ModelDomainError(f"pump power must be >= 0 mW, got {pump_mw}")
         raise ModelDomainError(
             f"pump power {pump_mw} mW is outside the supported "
             f"[0, {SUPPORTED_PUMP_MAX_MW}] mW domain"
@@ -297,11 +295,6 @@ def optimize_pump(
         if eta <= 0.0:
             return math.inf
         return nep(up_dark_rate(curve, p), eta)
-
-    if hi - lo < 1e-12:
-        if up_efficiency(curve, lo) <= 0.0:
-            raise ModelDomainError(f"efficiency is zero at the degenerate pump range [{lo}, {hi}]")
-        return PumpOperatingPoint(lo, up_efficiency(curve, lo), up_dark_rate(curve, lo))
 
     def screen(pumps):
         neps = _nep_grid(curve, pumps)

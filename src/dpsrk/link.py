@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .detector import DetectorSpec
@@ -73,18 +73,13 @@ def _trial_scenario(s: LinkScenario, mu: float, length_km: float) -> LinkScenari
     ``s`` was checked when it was built, so a trial whose ``mu`` and length
     pass ``__post_init__``'s two checks is a copy of ``s``'s fields with
     those two set, made without the generated ``__init__``.  Any other trial
-    goes through the positional constructor, which raises the
-    ``ModelDomainError`` that ``replace`` would; it must pass every field in
-    order, which ``tests/test_link.py`` pins.
+    goes through ``replace`` itself, which raises its ``ModelDomainError``.
     """
     if 0.0 < mu < math.inf and 0.0 <= length_km < math.inf:
         trial = object.__new__(LinkScenario)
         trial.__dict__.update(s.__dict__, mu=mu, length_km=length_km)
         return trial
-    return LinkScenario(
-        mu, s.alpha_db_per_km, length_km, s.clock_hz, s.baseline_error, s.detector,
-        s.delay_n, s.dead_time_delta,
-    )
+    return replace(s, mu=mu, length_km=length_km)
 
 
 class ChannelStats(NamedTuple):

@@ -221,13 +221,10 @@ def _sample(cfg: McConfig) -> McResult:
             errors += e
         return clicks, errors
 
-    if workers == 1:
-        totals = [stride(0)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            totals = list(pool.map(stride, range(workers)))
+    with ThreadPoolExecutor(workers) as pool:
+        totals = list(pool.map(stride, range(workers)))
     return McResult.from_counts(n_pulses, sum(k for k, _ in totals), sum(e for _, e in totals))
 
 

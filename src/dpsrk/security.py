@@ -180,10 +180,15 @@ def single_photon_fraction(p_click: float, p_m: float) -> float:
     insecure against photon-number splitting.
 
     Raises:
-        ModelDomainError: ``p_click`` is not positive.
+        ModelDomainError: ``p_click`` is not in (0, 1] or ``p_m`` not in [0, 1].
     """
-    if not p_click > 0.0:
-        raise ModelDomainError("single-photon fraction undefined at zero click probability")
+    if not 0.0 < p_click <= 1.0:
+        raise ModelDomainError(
+            "single-photon fraction undefined at zero click probability; "
+            f"p_click must be in (0, 1], got {p_click}"
+        )
+    if not 0.0 <= p_m <= 1.0:
+        raise ModelDomainError(f"p_m must be in [0, 1], got {p_m}")
     return _single_photon_fraction(p_click, p_m)
 
 
@@ -199,14 +204,14 @@ def shrink_individual(e: float, beta: float, memory: bool) -> float:
 
     Raises:
         ModelDomainError: ``beta`` is not in (0, 1], which at ``beta <= 0``
-            means no secure key against PNS, or ``e`` is negative.
+            means no secure key against PNS, or ``e`` is not finite and >= 0.
     """
     if beta <= 0.0:
         raise ModelDomainError(f"single-photon fraction {beta} <= 0: no secure key against PNS")
     if not beta <= 1.0:
         raise ModelDomainError(f"single-photon fraction must be <= 1, got {beta}")
-    if not e >= 0.0:
-        raise ModelDomainError(f"error rate must be >= 0, got {e}")
+    if not 0.0 <= e < math.inf:
+        raise ModelDomainError(f"error rate must be finite and >= 0, got {e}")
     ratio, turn, scale = _collision_bound(e, beta, memory)
     if ratio >= turn:
         return 0.0
@@ -220,8 +225,8 @@ def bs_transmission(detector: DetectorSpec, alpha_db_per_km: float, length_km: f
 
     Equals ``eta * 10^-(alpha L + L_r)/10``, i.e. p_signal / mu.
     """
-    if not (alpha_db_per_km >= 0.0 and length_km >= 0.0):
-        raise ModelDomainError("alpha and length must be >= 0")
+    if not (0.0 <= alpha_db_per_km < math.inf and 0.0 <= length_km < math.inf):
+        raise ModelDomainError("alpha and length must be finite and >= 0")
     return detector.efficiency * 10.0 ** (
         -(alpha_db_per_km * length_km + detector.receiver_loss_db) / 10.0
     )
@@ -238,8 +243,8 @@ def surviving_fraction(mu: float, p_signal: float, delay_n: int, memory: bool) -
     eta_bs is Eve's beam-splitter transmission (``bs_transmission``).
     Clamped below at 0; a zero value means the attack leaves no secret bits.
     """
-    if not mu > 0.0:
-        raise ModelDomainError(f"mu must be > 0, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ModelDomainError(f"mu must be finite and > 0, got {mu}")
     if not 0.0 <= p_signal <= 1.0:
         raise ModelDomainError(f"p_signal must be in [0, 1], got {p_signal}")
     if not (1 <= delay_n <= sys.float_info.max and delay_n % 1 == 0):  # NaN and inf fail too

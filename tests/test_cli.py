@@ -414,6 +414,14 @@ class TestOptimizeCommands:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 
+    def test_optimize_pump_range_narrower_than_1e_12(self, capsys):
+        # the efficiency is 0 only at 0 mW, so the solve lands inside the range
+        rc, out, _ = run(capsys, "optimize-pump", "--lo", "0", "--hi", "1e-300")
+        assert rc == 0
+        values = {line.split()[0]: float(line.split()[1]) for line in out.splitlines()}
+        assert 0.0 < values["pump_mw"] <= 1e-300
+        assert math.isfinite(values["nep"])
+
     def test_optimize_pump_dark_fit_touching_zero(self, capsys, touching_scenario_path):
         rc, out, err = run(
             capsys, "optimize-pump", "--scenario", touching_scenario_path,
@@ -453,6 +461,22 @@ class TestMcCommand:
         assert rc == 0
         qber_line = [line for line in out.splitlines() if line.startswith("qber")][0]
         assert float(qber_line.split()[1]) == pytest.approx(0.25, abs=0.01)
+
+    # 2,500,000 windows span three chunks of 2**20; 1,000 stay below one
+    @pytest.mark.parametrize("pulses", ["2500000", "1000"])
+    def test_link_mode_is_ir_mode_at_fraction_zero(self, capsys, tmp_path, pulses):
+        common = ["--preset", "fig3", "--length", "50", "--pulses", pulses, "--seed", "11"]
+        link_csv, ir_csv = tmp_path / "link.csv", tmp_path / "ir.csv"
+        link = run(capsys, "mc", "--mode", "link", *common, "--csv", str(link_csv))
+        ir = run(capsys, "mc", "--mode", "ir", "--ir-fraction", "0", *common, "--csv", str(ir_csv))
+        assert link == ir
+        link_lines, ir_lines = link_csv.read_text().splitlines(), ir_csv.read_text().splitlines()
+        assert link_lines[0] == ir_lines[0]
+        mode_link, *rest_link = link_lines[1].split(",")
+        mode_ir, *rest_ir = ir_lines[1].split(",")
+        assert (mode_link, mode_ir) == ("link", "ir")
+        assert rest_link == rest_ir
+        assert len(link_lines) == len(ir_lines) == 2
 
     def test_single_window_exits_zero(self, capsys):
         rc, _, _ = run(
@@ -508,7 +532,7 @@ class TestMcCommand:
         def skewed(cfg):
             return McResult.from_counts(cfg.n_pulses, cfg.n_pulses // 2, 0)
 
-        monkeypatch.setattr(montecarlo, "simulate_link", skewed)
+        monkeypatch.setattr(montecarlo, "simulate_intercept_resend", skewed)
         rc, _, _ = run(
             capsys, "mc", "--preset", "fig3", "--length", "100",
             "--pulses", "100000", "--seed", "1",
@@ -862,11 +886,9 @@ class TestUsage:
               "--lo", "5", "--hi", "5"],
              "--lo must be < --hi"),
             (["optimize-pump", "--lo", "0", "--hi", "0"],
-             "efficiency is zero at the degenerate pump range"),
-            (["optimize-pump", "--lo", "0", "--hi", "1e-300"],
-             "efficiency is zero at the degenerate pump range [0.0, 1e-300]"),
+             "efficiency is zero over the whole pump range [0.0, 0.0]"),
         ],
-        ids=["sweep-empty-range", "optimize-pump-zero-efficiency", "optimize-pump-names-range"],
+        ids=["sweep-empty-range", "optimize-pump-zero-efficiency"],
     )
     def test_bad_range_exits_one(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

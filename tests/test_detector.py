@@ -190,7 +190,8 @@ class TestNep:
     "call, message",
     [
         (lambda: nep(-1.0, 0.5), "dark rate must be finite and >= 0"),
-        (lambda: optimize_pump(CURVE, (0.0, 0.0)), "efficiency is zero at the degenerate"),
+        (lambda: optimize_pump(CURVE, (0.0, 0.0)),
+         re.escape("efficiency is zero over the whole pump range [0.0, 0.0]")),
         (lambda: nep(math.nan, 0.5), "dark rate must be finite and >= 0"),
         (lambda: nep(1.0, math.nan), "efficiency must be in"),
         (lambda: dark_per_window(math.nan, DarkConvention.PER_MODE, 50e9),
@@ -245,6 +246,16 @@ class TestOptimizePump:
     def test_degenerate_range(self):
         found = optimize_pump(CURVE, (0.02, 0.02))
         assert found.pump_mw == 0.02
+
+    def test_range_narrower_than_1e_12(self):
+        # the NEP falls all the way to hi, and is inf only at the lowest pumps
+        lo, hi = 5e-324, 1e-300
+        found = optimize_pump(PPLN_UPCONVERTER, (lo, hi))
+        at_hi = nep(up_dark_rate(PPLN_UPCONVERTER, hi), up_efficiency(PPLN_UPCONVERTER, hi))
+        assert lo <= found.pump_mw <= hi
+        found_nep = nep(found.dark_rate_hz, found.efficiency)
+        assert math.isfinite(found_nep)
+        assert found_nep == pytest.approx(at_hi, rel=1e-3)
 
     def test_zero_efficiency_everywhere(self):
         dead = UpConversionCurve(

@@ -254,8 +254,8 @@ class TestTrialScenario:
             assert repr(trial) == repr(want)  # the same bits, -0.0 included
 
     def test_fields_are_the_ones_it_passes(self):
-        # an invalid trial falls back to passing every field positionally; a
-        # new field must be added there
+        # callers that build a LinkScenario positionally, such as
+        # tests/test_precision.py, rely on this order
         assert [f.name for f in fields(LinkScenario)] == [
             "mu", "alpha_db_per_km", "length_km", "clock_hz", "baseline_error", "detector",
             "delay_n", "dead_time_delta",

@@ -258,22 +258,22 @@ class TestIrErrorFloor:
         (lambda: shrink_hybrid(0.01, 1.5, 100), "gamma must be in"),
         (lambda: shrink_hybrid(0.6, 0.9, 100), "error rate must be in"),
         (lambda: shrink_individual(0.01, 1.5, True), "single-photon fraction must be <= 1"),
-        (lambda: shrink_individual(-0.1, 0.9, True), "error rate must be >= 0"),
+        (lambda: shrink_individual(-0.1, 0.9, True), "error rate must be finite and >= 0"),
         (lambda: ir_error_floor(0), "delay_n must be an integer >= 1"),
         (lambda: ECTable(((0.0, 1.16),)), "at least two breakpoints"),
         (lambda: f_ec(CASCADE_EC_TABLE, math.nan), "error rate must be >= 0"),
         (lambda: poisson_multiphoton(math.nan), "mu must be finite and >= 0"),
         (lambda: poisson_multiphoton(math.inf), "mu must be finite and >= 0"),
         (lambda: single_photon_fraction(math.nan, 0.0), "undefined at zero click probability"),
-        (lambda: shrink_individual(math.nan, 0.5, True), "error rate must be >= 0"),
+        (lambda: shrink_individual(math.nan, 0.5, True), "error rate must be finite and >= 0"),
         (lambda: shrink_individual(0.01, math.nan, True), "single-photon fraction must be <= 1"),
-        (lambda: surviving_fraction(math.nan, 0.1, 10, False), "mu must be > 0"),
+        (lambda: surviving_fraction(math.nan, 0.1, 10, False), "mu must be finite and > 0"),
         (lambda: surviving_fraction(0.2, 0.1, math.nan, False), "delay_n must be an integer >= 1"),
         (lambda: shrink_hybrid(0.01, 0.5, math.nan), "delay_n must be an integer >= 1"),
         (lambda: ir_error_floor(math.nan), "delay_n must be an integer >= 1"),
-        (lambda: bs_transmission(SI, math.nan, 1.0), "alpha and length must be >= 0"),
-        (lambda: bs_transmission(SI, -0.2, 1.0), "alpha and length must be >= 0"),
-        (lambda: bs_transmission(SI, 0.2, -1.0), "alpha and length must be >= 0"),
+        (lambda: bs_transmission(SI, math.nan, 1.0), "alpha and length must be finite and >= 0"),
+        (lambda: bs_transmission(SI, -0.2, 1.0), "alpha and length must be finite and >= 0"),
+        (lambda: bs_transmission(SI, 0.2, -1.0), "alpha and length must be finite and >= 0"),
         (lambda: surviving_fraction(0.2, 0.1, math.inf, False), "delay_n must be an integer"),
         (lambda: surviving_fraction(0.2, 0.1, 2.5, False), "delay_n must be an integer"),
         (lambda: shrink_hybrid(0.01, 0.5, math.inf), "delay_n must be an integer"),
@@ -284,6 +284,8 @@ class TestIrErrorFloor:
         (lambda: surviving_fraction(0.2, 0.1, 10**400, False), "delay_n must be an integer >= 1"),
         (lambda: shrink_hybrid(0.01, 0.9, 10**400), "delay_n must be an integer >= 1"),
         (lambda: ir_error_floor(10**400), "delay_n must be an integer >= 1"),
+        (lambda: single_photon_fraction(2.0, 0.1), r"p_click must be in \(0, 1\]"),
+        (lambda: single_photon_fraction(0.5, 1.5), r"p_m must be in \[0, 1\]"),
     ],
     ids=[
         "hybrid-delay-0", "hybrid-gamma", "hybrid-e", "individual-beta", "individual-e",
@@ -293,7 +295,8 @@ class TestIrErrorFloor:
         "bs-alpha-nan", "bs-alpha-negative", "bs-length-negative", "surviving-delay-inf",
         "surviving-delay-fraction", "hybrid-delay-inf", "hybrid-delay-fraction", "ir-floor-inf",
         "ir-floor-fraction", "ec-table-equal-breakpoints", "surviving-delay-huge",
-        "hybrid-delay-huge", "ir-floor-huge",
+        "hybrid-delay-huge", "ir-floor-huge", "single-photon-p-click-above-one",
+        "single-photon-p-m-above-one",
     ],
 )
 def test_out_of_range_argument_raises(call, message):
