@@ -114,8 +114,7 @@ def _load_source(
         if args.detector is not None:  # the file names its own detector
             raise UsageError("--detector only applies with --preset")
         sf = replace(parse_scenario(read_text(args.scenario)), **given)
-        curve = sf.upconversion_curve()
-        build, default_f = partial(sf.build_with, curve), CASCADE_EC_TABLE.points[0][1]
+        build, curve, default_f = sf.build, sf.upconversion_curve(), CASCADE_EC_TABLE.points[0][1]
     else:
         registry = load_presets()
         if args.preset not in registry:

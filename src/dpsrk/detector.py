@@ -282,7 +282,8 @@ def optimize_pump(
 
     Raises:
         ModelDomainError: If the range is empty or leaves the supported
-            domain, or the efficiency is zero over the whole range.
+            domain, or the NEP is infinite over the whole range because
+            the efficiency is zero or too small.
     """
     lo, hi = pump_range
     if lo > hi:
@@ -302,7 +303,9 @@ def optimize_pump(
 
     a, b, best = grid_bracket(objective, lo, hi, _PUMP_GRID_STEPS, screen)
     if not math.isfinite(best):
-        raise ModelDomainError(f"efficiency is zero over the whole pump range [{lo}, {hi}]")
+        raise ModelDomainError(
+            f"no finite NEP over the whole pump range [{lo}, {hi}]: efficiency is zero or too small"
+        )
     p_star = golden_min(objective, a, b, 1e-6)
     return PumpOperatingPoint(p_star, up_efficiency(curve, p_star), up_dark_rate(curve, p_star))
 

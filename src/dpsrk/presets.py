@@ -39,6 +39,7 @@ _KNOWN_KEYS = {*_PRESET_FLOAT_KEYS, "n_set"} | {
 # Each link key of a preset and the name LinkScenario's messages give it.
 _LINK_KEYS = {
     "b": "baseline error", "mu": "mu", "nu_hz": "clock rate", "alpha_db_per_km": "alpha",
+    "n_set": "delay_n",
 }
 
 
@@ -97,10 +98,6 @@ def parse_preset(name: str, text: str) -> Preset:
         )
     n_set_text, line, col = fetch("n_set")
     n_set = tuple(_parse_int("n_set", tok, line, col) for tok in n_set_text.split(","))
-    if min(n_set) < 1:
-        raise ScenarioParseError(
-            f"n_set entries must be >= 1 in preset {name}, got {n_set_text}", line, col
-        )
     detectors = {}
     for variant in DETECTOR_VARIANTS:
         params = {field: fetch_float(f"{variant}.{key}") for key, field in _DETECTOR_KEYS.items()}
@@ -119,8 +116,9 @@ def parse_preset(name: str, text: str) -> Preset:
         n_set=n_set,
         detectors=detectors,
     )
-    try:  # LinkScenario's own checks reject an out-of-range mu, b, nu_hz or alpha
-        preset.scenario()
+    try:  # LinkScenario's own checks reject an out-of-range mu, b, nu_hz, alpha or N
+        for n in n_set:
+            preset.scenario(delay_n=n)
     except ModelDomainError as exc:
         raise _error_at_key(name, str(exc), _LINK_KEYS, seen) from None
     return preset

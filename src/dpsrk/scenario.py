@@ -28,9 +28,11 @@ from .security import AttackModel
 class ScenarioFile:
     """Parsed scenario parameters, kept verbatim for lossless round-trips.
 
-    Each field is one file key: ``detector_*`` and ``upconv_*`` fields are
-    read from the dotted keys ``detector.*`` and ``upconv.*``, the others
-    from their own names.  Fields without a default are required keys.
+    Each field but ``upconv`` is one file key: ``detector_*`` fields and ``upconv_pump_mw``
+    are read from dotted keys, the others from their own names.  ``upconv`` is the curve of
+    the ``upconv.*`` curve keys, or None without them; ``parse_scenario`` builds it, so a bad
+    curve, such as a dark-rate fit negative on the pump domain, raises ModelDomainError there.
+    Fields without a default are required keys.
     """
 
     mu: float
@@ -45,32 +47,17 @@ class ScenarioFile:
     delta: float = 0.5
     detector_efficiency: float | None = None
     detector_dark_per_window: float | None = None
-    upconv_a1: float | None = None
-    upconv_a2: float | None = None
-    upconv_b0: float | None = None
-    upconv_b1: float | None = None
-    upconv_b2: float | None = None
-    upconv_b3: float | None = None
-    upconv_b4: float | None = None
-    upconv_bandwidth_hz: float | None = None
+    upconv: UpConversionCurve | None = None
     upconv_pump_mw: float | None = None
 
     def upconversion_curve(self) -> UpConversionCurve | None:
-        if self.upconv_a1 is None:
-            return None
-        return UpConversionCurve(**{name: getattr(self, f"upconv_{name}") for name in _CURVE})
+        return self.upconv
 
     def build(self, length_km: float) -> tuple[LinkScenario, AttackModel]:
         """Materialize the scenario at one link length."""
-        return self.build_with(self.upconversion_curve(), length_km)
-
-    def build_with(
-        self, curve: UpConversionCurve | None, length_km: float
-    ) -> tuple[LinkScenario, AttackModel]:
-        """``build``, given this file's ``upconversion_curve()`` built once by the caller."""
-        if curve is not None and self.upconv_pump_mw is not None:
+        if self.upconv is not None and self.upconv_pump_mw is not None:
             detector = make_detector_from_upconversion(
-                curve,
+                self.upconv,
                 self.upconv_pump_mw,
                 dead_time=self.detector_dead_time_s,
                 receiver_loss_db=self.detector_receiver_loss_db,
@@ -103,13 +90,19 @@ def _key(name: str) -> str:
     return f"{group}.{rest}" if group in ("detector", "upconv") else name
 
 
-#: Every scenario-file key, mapped to its ScenarioFile field, in field order.
-KNOWN_KEYS = {_key(field.name): field for field in fields(ScenarioFile)}
-
 # The curve's parameters, each read from the key ``upconv.<name>``.  Read
 # here, at import, so that a caller may swap ``UpConversionCurve`` for a
 # wrapper function afterwards.
-_CURVE = tuple(field.name for field in fields(UpConversionCurve))
+_CURVE = fields(UpConversionCurve)
+
+#: Every scenario-file key, mapped to the ScenarioFile or UpConversionCurve field it fills.
+KNOWN_KEYS = {}
+for _field in fields(ScenarioFile):
+    if _field.name == "upconv":
+        for _curve_field in _CURVE:
+            KNOWN_KEYS[f"upconv.{_curve_field.name}"] = _curve_field
+    else:
+        KNOWN_KEYS[_key(_field.name)] = _field
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -206,16 +199,16 @@ def parse_scenario(text: str) -> ScenarioFile:
         if key not in seen:
             raise ScenarioParseError(f"missing required key '{key}'")
 
-    for key, field in KNOWN_KEYS.items():
+    for field in fields(ScenarioFile):
         if field.default is MISSING:
-            require(key)
+            require(_key(field.name))
 
     try:
         AttackModel(values["attack"])
     except ModelDomainError as exc:
         raise ScenarioParseError(str(exc), *seen["attack"][1:]) from None
 
-    curve_keys = [f"upconv.{name}" for name in _CURVE]
+    curve_keys = [f"upconv.{field.name}" for field in _CURVE]
     upconv_present = [k for k in curve_keys if k in seen]
     if upconv_present and len(upconv_present) != len(curve_keys):
         missing = sorted(set(curve_keys) - set(upconv_present))
@@ -234,6 +227,8 @@ def parse_scenario(text: str) -> ScenarioFile:
         for key in ("detector.efficiency", "detector.dark_per_window"):
             require(key)
 
+    if upconv_present:
+        values["upconv"] = UpConversionCurve(**{f.name: values.pop(f.name) for f in _CURVE})
     return ScenarioFile(**values)
 
 
@@ -241,7 +236,7 @@ def serialize_scenario(sf: ScenarioFile) -> str:
     """Render a ScenarioFile back to text; parse(serialize(x)) == x."""
     lines = []
     for key, field in KNOWN_KEYS.items():
-        value = getattr(sf, field.name)
+        value = getattr(sf.upconv if field in _CURVE else sf, field.name, None)
         if value is None:
             continue
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")

@@ -724,6 +724,23 @@ class TestBadInputFiles:
         assert (rc, out) == (1, "")
         assert err == "error: a2 must be >= 0 with a2 * 30.0 mW finite, got 1e+308\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--length", "10"],
+            ["optimize-pump"],
+            ["sweep", "--axis", "pump", "--lo", "0", "--hi", "30", "--steps", "4"],
+        ],
+        ids=["rate", "optimize-pump", "sweep-pump"],
+    )
+    def test_negative_dark_rate_fit_exits_one(self, capsys, upconv_scenario_path, tmp_path, argv):
+        path = tmp_path / "negative_fit.scn"
+        path.write_text(Path(upconv_scenario_path).read_text().replace(
+            "upconv.b0 = 50", "upconv.b0 = -50"))
+        rc, out, err = run(capsys, *argv, "--scenario", str(path))
+        assert (rc, out) == (1, "")
+        assert err == "error: dark-rate polynomial is negative at pump 0.0000 mW\n"
+
 
 def _file_bytes(line: st.SearchStrategy[str]) -> st.SearchStrategy[bytes]:
     """Raw bytes, or UTF-8 text whose lines ``line`` draws."""
@@ -886,7 +903,8 @@ class TestUsage:
               "--lo", "5", "--hi", "5"],
              "--lo must be < --hi"),
             (["optimize-pump", "--lo", "0", "--hi", "0"],
-             "efficiency is zero over the whole pump range [0.0, 0.0]"),
+             "no finite NEP over the whole pump range [0.0, 0.0]: "
+             "efficiency is zero or too small"),
         ],
         ids=["sweep-empty-range", "optimize-pump-zero-efficiency"],
     )

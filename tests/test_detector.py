@@ -191,7 +191,10 @@ class TestNep:
     [
         (lambda: nep(-1.0, 0.5), "dark rate must be finite and >= 0"),
         (lambda: optimize_pump(CURVE, (0.0, 0.0)),
-         re.escape("efficiency is zero over the whole pump range [0.0, 0.0]")),
+         re.escape(
+             "no finite NEP over the whole pump range [0.0, 0.0]: "
+             "efficiency is zero or too small"
+         )),
         (lambda: nep(math.nan, 0.5), "dark rate must be finite and >= 0"),
         (lambda: nep(1.0, math.nan), "efficiency must be in"),
         (lambda: dark_per_window(math.nan, DarkConvention.PER_MODE, 50e9),
@@ -284,7 +287,10 @@ def scalar_optimize_pump(curve, pump_range):
 
     a, b, best = grid_bracket(objective, lo, hi, 2048)
     if not math.isfinite(best):
-        raise ModelDomainError(f"efficiency is zero over the whole pump range [{lo}, {hi}]")
+        raise ModelDomainError(
+            f"no finite NEP over the whole pump range [{lo}, {hi}]: "
+            "efficiency is zero or too small"
+        )
     p_star = golden_min(objective, a, b, 1e-6)
     return p_star, up_efficiency(curve, p_star), up_dark_rate(curve, p_star)
 

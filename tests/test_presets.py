@@ -178,6 +178,8 @@ class TestPresetParsing:
             ("b = 0.01", "b = 0.5"),
             ("nu_hz = 1e9", "nu_hz = 0"),
             ("alpha_db_per_km = 0.21", "alpha_db_per_km = -0.21"),
+            # an integer >= 1, but above the float range that LinkScenario's delay_n takes
+            pytest.param("n_set = 1,10,100", "n_set = 1," + "9" * 401, id="n_set-401-digits"),
         ],
     )
     def test_out_of_range_value_rejected_at_load(self, old, new):

@@ -99,6 +99,11 @@ ORACLE = load_oracle()
 )
 @example(s=ABOVE_TABLE, attack=HYBRID_NOMEM, f_fixed=None, mus=MUS)
 @example(s=ERROR_FREE, attack=HYBRID_MEM, f_fixed=1.16, mus=MUS)
+# e = 1.7e-12 with tau - f H(e) = 6.3e-5, where the oracle's rate is 1.1e-12 off
+@example(
+    s=scenario(1.0, 5.4567881019841737e-17, 0.0, 0.5, 84.0, 0.0, 1e6, 0.0, 0.5, 1),
+    attack=HYBRID_MEM, f_fixed=None, mus=[0.5],
+)
 def test_array_pass_agrees_with_bench_oracle(s, attack, f_fixed, mus):
     # bench/oracle.py's hybrid grid is written from the README, not from the
     # package; it assumes delta = 1/2.  The same inputs as
@@ -131,7 +136,10 @@ def test_array_pass_agrees_with_bench_oracle(s, attack, f_fixed, mus):
         # the hybrid bound uses no numpy function, so the grid's tau is the scalar chain's
         tau = secure_rate(link._trial_scenario(s, mu, s.length_km), attack, f_fixed=f_fixed).tau
         tau_error = abs(tau - ref["tau"])
-        bound = ref["sifted"] * (tau_error + 1e-12 * (abs(ref["tau"]) + ref["f"] * ref["h"]))
+        # the oracle's textbook H(e) rounds 1 - e, which costs up to 2^-54 / ln 2 of H(e)
+        bound = ref["sifted"] * (
+            tau_error + 1e-12 * (abs(ref["tau"]) + ref["f"] * ref["h"]) + ref["f"] * 2**-52
+        )
         assert abs(got - ref_rate) <= bound, (mu, got, ref_rate)
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from dpsrk.detector import up_efficiency
-from dpsrk.errors import ScenarioParseError
+from dpsrk.errors import ModelDomainError, ScenarioParseError
 from dpsrk.scenario import ScenarioFile, parse_scenario, serialize_scenario
 from dpsrk.security import AttackModel
 
@@ -41,6 +41,46 @@ upconv.b2 = 110.3
 upconv.b3 = -0.403
 upconv.b4 = 0.00065
 upconv.bandwidth_hz = 50e9
+upconv.pump_mw = 0.0269
+"""
+
+
+# serialize_scenario's bytes for BASIC and UPCONV: numbers as shortest repr,
+# keys in field order, a key without a value left out
+BASIC_SERIALIZED = """\
+mu = 0.2
+alpha_db_per_km = 0.21
+clock_hz = 1000000000.0
+baseline_error = 0.01
+delay_n = 100
+attack = hybrid_nomem
+detector.name = si
+detector.dead_time_s = 4.5e-08
+detector.receiver_loss_db = 2.1
+delta = 0.5
+detector.efficiency = 0.35
+detector.dark_per_window = 3.5e-08
+"""
+
+UPCONV_SERIALIZED = """\
+mu = 0.2
+alpha_db_per_km = 0.21
+clock_hz = 1000000000.0
+baseline_error = 0.01
+delay_n = 100
+attack = hybrid_nomem
+detector.name = upconv-si
+detector.dead_time_s = 4.5e-08
+detector.receiver_loss_db = 2.1
+delta = 1.0
+upconv.a1 = 0.465
+upconv.a2 = 79.75
+upconv.b0 = 50.0
+upconv.b1 = 826.4
+upconv.b2 = 110.3
+upconv.b3 = -0.403
+upconv.b4 = 0.00065
+upconv.bandwidth_hz = 50000000000.0
 upconv.pump_mw = 0.0269
 """
 
@@ -139,6 +179,13 @@ class TestRoundTrip:
         second = parse_scenario(serialize_scenario(first))
         assert first == second
 
+    @pytest.mark.parametrize(
+        "text, want", [(BASIC, BASIC_SERIALIZED), (UPCONV, UPCONV_SERIALIZED)],
+        ids=["basic", "upconv"],
+    )
+    def test_serialized_bytes(self, text, want):
+        assert serialize_scenario(parse_scenario(text)) == want
+
     def test_serialized_floats_are_shortest_roundtrip(self):
         sf = parse_scenario(BASIC)
         out = serialize_scenario(sf)
@@ -174,6 +221,13 @@ class TestUpconvBlock:
     def test_pump_without_curve_rejected(self):
         text = BASIC + "upconv.pump_mw = 0.03\n"
         with pytest.raises(ScenarioParseError):
+            parse_scenario(text)
+
+    def test_negative_dark_rate_fit_rejected_at_parse(self):
+        # the curve is built once, by the parse, so no build is needed to find it
+        text = UPCONV.replace("upconv.b0 = 50", "upconv.b0 = -50")
+        message = r"^dark-rate polynomial is negative at pump 0\.0000 mW$"
+        with pytest.raises(ModelDomainError, match=message):
             parse_scenario(text)
 
     def test_curve_without_pump_keeps_direct_detector(self):
