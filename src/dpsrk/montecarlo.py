@@ -18,7 +18,12 @@ of 2**16 and keeps only the signal bit of each clicked window.  A window's
 uniform is numpy's double ``(x >> 11) * 2**-53`` of a raw 64-bit word ``x``;
 the window loop compares ``x`` itself with an integer limit that gives the
 same verdict as the double against its probability, so the streams and the
-results are those of ``Generator.random()`` compares.  Chunks run
+results are those of ``Generator.random()`` compares.  A chunk counts its
+errors per click class, each class against its own error probability
+(dark-only clicks against 1/2, attacked signal clicks against the floor of
+Bob's delay, the other signal clicks against b), so per clicked window it
+holds only its error uniform and, in intercept-resend mode, Bob's delay
+index, besides one-byte masks.  Chunks run
 on up to one thread per usable CPU, each of ``w`` threads taking every
 ``w``-th chunk (numpy's random fills and ufuncs release the GIL), and their
 integer counts are summed, so results are reproducible across platforms and
@@ -45,8 +50,8 @@ _BLOCK_WINDOWS = 1 << 16
 
 
 def _is_whole(x, lo: int, hi: float = math.inf) -> bool:
-    """``x`` is a whole number in [lo, hi); NaN and inf fail before ``int``."""
-    return lo <= x < hi and int(x) == x
+    """``x`` is a whole number in [lo, hi]; NaN and inf fail before ``int``."""
+    return lo <= x <= hi and x < math.inf and int(x) == x
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class McConfig:
     def __post_init__(self):
         if not _is_whole(self.n_pulses, 1):
             raise ModelDomainError(f"n_pulses must be an integer >= 1, got {self.n_pulses}")
-        if not _is_whole(self.seed, 0, 2**64):
+        if not _is_whole(self.seed, 0, 2**64 - 1):
             raise ModelDomainError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         if not 0.0 <= self.ir_fraction <= 1.0:
             raise ModelDomainError(f"ir_fraction must be in [0, 1], got {self.ir_fraction}")
@@ -177,7 +182,12 @@ def _below(bits: np.random.BitGenerator, m: int, limit: np.uint64 | None, out) -
 
 
 def _chunk_counts(cfg: McConfig, stats: link.ChannelStats, j: int, n: int) -> tuple[int, int]:
-    """(clicks, errors) of chunk ``j``, which holds ``n`` windows."""
+    """(clicks, errors) of chunk ``j``, which holds ``n`` windows.
+
+    Errors are counted per click class, each class against its own error
+    probability: dark-only clicks against 1/2, attacked signal clicks against
+    the floor of Bob's delay, and the other signal clicks against b.
+    """
     signal = _chunk_rng(cfg.seed, j).bit_generator  # the signal words
     tail = _chunk_rng(cfg.seed, j, skip=n)  # the dark words, then the per-click draws
     sig_limit = _word_limit(stats.p_signal)
@@ -192,16 +202,22 @@ def _chunk_counts(cfg: McConfig, stats: link.ChannelStats, j: int, n: int) -> tu
         _below(tail.bit_generator, m, dark_limit, click[:m])
         np.logical_or(sig[:m], click[:m], out=click[:m])
         kept.append(sig[:m][click[:m]])
+    del click  # the block mask would otherwise outlive the per-click stage
     sig = np.concatenate(kept)  # from here on, one entry per clicked window
     k = sig.size
-    threshold = np.where(sig, cfg.scenario.baseline_error, 0.5)
     u = tail.random(k)  # before the attack draws, so skipping them at fraction 0 moves no count
+    errors = np.count_nonzero(~sig & (u < 0.5))
     if cfg.ir_fraction > 0.0:
-        attacked_error = np.array(_attacked_error(cfg))
+        attacked_error = _attacked_error(cfg)
         attacked = tail.random(k) < cfg.ir_fraction
-        bob_idx = tail.integers(0, attacked_error.size, size=k)
-        threshold = np.where(sig & attacked, attacked_error[bob_idx], threshold)
-    return k, int(np.count_nonzero(u < threshold))
+        attacked &= sig
+        # one call: numpy's bounded draws pair up 32-bit halves within a call
+        bob_idx = tail.integers(0, len(attacked_error), size=k)
+        for i, e in enumerate(attacked_error):
+            errors += np.count_nonzero(attacked & (bob_idx == i) & (u < e))
+        sig &= ~attacked
+    errors += np.count_nonzero(sig & (u < cfg.scenario.baseline_error))
+    return k, int(errors)
 
 
 def _sample(cfg: McConfig) -> McResult:

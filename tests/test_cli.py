@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -517,6 +518,15 @@ class TestMcCommand:
         assert rc == 1
         assert out == ""
         assert f"unrecognized arguments: {option} {value}" in err
+
+    def test_largest_float_bob_n_runs(self, capsys):
+        # the largest whole float is a delay --n accepts; one digit more is too large
+        top = str(int(sys.float_info.max))
+        common = ["mc", "--preset", "fig3", "--length", "10", "--pulses", "1000", "--mode", "ir"]
+        rc, out, _ = run(capsys, *common, "--bob-n", top)
+        assert rc == 0 and "qber" in out
+        rc, _, err = run(capsys, *common, "--bob-n", "1" + top)
+        assert (rc, err) == (1, "error: bob_delay_choices must be integers >= 1\n")
 
     @pytest.mark.parametrize("bob_n", ["a,b", "1,,2", "1.5"])
     def test_bad_bob_n_exits_one(self, capsys, bob_n):

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,27 +177,37 @@ class TestSimulateInterceptResend:
         assert abs(result.qber_hat - q) <= 3.0 * se
 
 
+def reference_chunk_counts(cfg, j, n, intercept):
+    """Chunk ``j``'s (clicks, errors), drawn as whole arrays from one cursor.
+
+    Each clicked window gets its error threshold from ``np.where``: b for a
+    signal click, 1/2 for a dark-only one, and in intercept-resend mode the
+    floor of Bob's delay for an attacked signal click.
+    """
+    stats = channel_stats(cfg.scenario)
+    attacked_error = np.array(montecarlo._attacked_error(cfg))
+    rng = montecarlo._chunk_rng(cfg.seed, j)
+    sig = rng.random(n) < stats.p_signal
+    click = sig | (rng.random(n) < stats.p_dark)
+    sig = sig[click]
+    k = sig.size
+    threshold = np.where(sig, cfg.scenario.baseline_error, 0.5)
+    u = rng.random(k)
+    if intercept:
+        attacked = rng.random(k) < cfg.ir_fraction
+        bob_idx = rng.integers(0, attacked_error.size, size=k)
+        threshold = np.where(sig & attacked, attacked_error[bob_idx], threshold)
+    return k, int(np.count_nonzero(u < threshold))
+
+
 def reference_sample(cfg, intercept):
     """The sampler drawing each chunk as whole arrays from one cursor, one chunk at a time."""
-    stats = channel_stats(cfg.scenario)
-    b = cfg.scenario.baseline_error
-    attacked_error = np.array(montecarlo._attacked_error(cfg))
     clicks = 0
     errors = 0
     for j, n in montecarlo._chunks(cfg.n_pulses):
-        rng = montecarlo._chunk_rng(cfg.seed, j)
-        sig = rng.random(n) < stats.p_signal
-        click = sig | (rng.random(n) < stats.p_dark)
-        sig = sig[click]
-        k = sig.size
-        threshold = np.where(sig, b, 0.5)
-        u = rng.random(k)
-        if intercept:
-            attacked = rng.random(k) < cfg.ir_fraction
-            bob_idx = rng.integers(0, attacked_error.size, size=k)
-            threshold = np.where(sig & attacked, attacked_error[bob_idx], threshold)
+        k, e = reference_chunk_counts(cfg, j, n, intercept)
         clicks += k
-        errors += int(np.count_nonzero(u < threshold))
+        errors += e
     return McResult.from_counts(cfg.n_pulses, clicks, errors)
 
 
@@ -238,6 +250,58 @@ class TestStreamedChunks:
         # n % 4 runs through 0-3; the cursor continues past the dark uniforms
         skipped = montecarlo._chunk_rng(11, 2, skip=n).random(n + 7)
         assert np.array_equal(skipped, montecarlo._chunk_rng(11, 2).random(2 * n + 7)[n:])
+
+
+def _preset_scenario(key="fig3", detector="si", length_km=0.0):
+    return load_presets()[key].scenario(detector, length_km=length_km)[0]
+
+
+IR_KW = dict(eve_delay_m=2, bob_delay_choices=(1, 2, 3))
+
+
+class TestChunkClassCounts:
+    """Counting errors per click class gives the per-click threshold counts."""
+
+    @pytest.mark.parametrize(
+        "scenario, kw, j, n",
+        [
+            (_preset_scenario(), dict(), 0, CHUNK_WINDOWS),
+            (_preset_scenario(), dict(ir_fraction=0.3, **IR_KW), 0, CHUNK_WINDOWS),
+            (_preset_scenario(), dict(ir_fraction=0.5, **IR_KW), 1, CHUNK_WINDOWS),
+            (_preset_scenario(), dict(ir_fraction=1.0, **IR_KW), 2, CHUNK_WINDOWS),
+            (_preset_scenario(), dict(ir_fraction=1.0, eve_delay_m=2, bob_delay_choices=(2,)),
+             0, CHUNK_WINDOWS),
+            (_preset_scenario("fig12", "ingaas"),
+             dict(ir_fraction=0.5, eve_delay_m=3, bob_delay_choices=(1, 3, 3, 5)), 0,
+             CHUNK_WINDOWS),
+            (always_click_scenario(0.1), dict(ir_fraction=0.5, **IR_KW), 0, 4099),
+            (_preset_scenario("fig3", "ingaas", 200.0), dict(ir_fraction=0.5, **IR_KW), 0,
+             CHUNK_WINDOWS),
+            (_preset_scenario(), dict(ir_fraction=0.5, **IR_KW), 3, 3 * (1 << 16) + 12345),
+        ],
+        ids=["link", "ir-0.3", "ir-0.5", "ir-1", "eve-equals-bob", "ingaas-repeated-choice",
+             "no-dark", "ingaas-200km-dark-only", "partial-block"],
+    )
+    def test_counts_equal_the_threshold_reference(self, scenario, kw, j, n):
+        cfg = McConfig(scenario=scenario, n_pulses=n, seed=7, **kw)
+        counts = montecarlo._chunk_counts(cfg, channel_stats(scenario), j, n)
+        assert counts == reference_chunk_counts(cfg, j, n, intercept=cfg.ir_fraction > 0.0)
+
+    def test_ir_chunk_peak_memory(self):
+        # fig3 si at 0 km clicks in about 45,000 of 2**20 windows; per-click threshold
+        # arrays peaked at about 2,000 KB on numpy 2.4.6, the per-class counts at under 1,000 KB
+        cfg = McConfig(scenario=_preset_scenario(), n_pulses=CHUNK_WINDOWS, seed=7,
+                       ir_fraction=1.0, eve_delay_m=2, bob_delay_choices=(1, 2))
+        stats = channel_stats(cfg.scenario)
+        montecarlo._chunk_counts(cfg, stats, 0, CHUNK_WINDOWS)  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            montecarlo._chunk_counts(cfg, stats, 0, CHUNK_WINDOWS)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1600 * 1024
 
 
 class _Words:
@@ -441,6 +505,14 @@ class TestMcConfigValidation:
         params.update(kwargs)
         with pytest.raises(ModelDomainError):
             McConfig(**params)
+
+    def test_accepts_the_largest_float_delay(self):
+        # the largest whole float is a valid delay for LinkScenario and ir_error_floor too
+        top = int(sys.float_info.max)
+        cfg = McConfig(scenario=si_scenario(10.0), n_pulses=1000, seed=0, ir_fraction=1.0,
+                       bob_delay_choices=(top,))
+        assert montecarlo._attacked_error(cfg) == [0.5]
+        assert simulate_intercept_resend(cfg).n_windows == 1000
 
     def test_result_rejects_more_errors_than_clicks(self):
         with pytest.raises(ModelDomainError, match="errors cannot exceed clicks"):
