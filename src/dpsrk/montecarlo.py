@@ -13,19 +13,29 @@ Randomness comes from numpy's Philox 4x64 counter-based generator.  Windows
 are processed in fixed chunks of 2**20 and chunk ``j`` uses the substream
 ``SeedSequence(entropy=seed, spawn_key=(j,))``.  Within its substream a chunk
 of ``n`` windows reads the signal uniforms from draw 0 and the dark uniforms
-from draw ``n``, then the per-click draws; it streams its windows in blocks
-of 2**16 and keeps only the signal bit of each clicked window.  A window's
-uniform is numpy's double ``(x >> 11) * 2**-53`` of a raw 64-bit word ``x``;
-the window loop compares ``x`` itself with an integer limit that gives the
-same verdict as the double against its probability, so the streams and the
-results are those of ``Generator.random()`` compares.  A chunk counts its
+from draw ``n``; it streams its windows in blocks of 2**14 and keeps only the
+signal bit of each clicked window.  Once the window loop has counted the
+``k`` clicks, the per-click draws follow in stream order: the error uniforms
+from draw ``2n``, then in intercept-resend mode the attack uniforms from draw
+``2n + k`` and Bob's delay indices from draw ``2n + 2k``.  The error uniforms
+continue on the cursor that read the dark words, and the other two each get
+a cursor positioned at their first draw, so every cursor reads in stream
+order, in pieces of at most 2**14 clicks.  Pieces of bounded draws give the
+values of one call only on a cursor that draws nothing else, because Philox
+keeps the spare 32-bit half of a bounded draw in its state; so Bob's indices
+never share a cursor with double draws.  A window's uniform is numpy's
+double ``(x >> 11) * 2**-53`` of a raw 64-bit word ``x``; the window loop
+compares ``x`` itself with an integer limit that gives the same verdict as
+the double against its probability, so the streams and the results are
+those of ``Generator.random()`` compares.  A chunk counts its
 errors per click class, each class against its own error probability
 (dark-only clicks against 1/2, attacked signal clicks against the floor of
-Bob's delay, the other signal clicks against b), so per clicked window it
-holds only its error uniform and, in intercept-resend mode, Bob's delay
-index, besides one-byte masks.  Chunks run
-on up to one thread per usable CPU, each of ``w`` threads taking every
-``w``-th chunk (numpy's random fills and ufuncs release the GIL), and their
+Bob's delay, the other signal clicks against b), so besides one byte per
+click it holds only one 2**14 step's arrays, whatever its click
+probability.  Chunks run on up to ``w`` workers, one per usable CPU, worker
+``i`` taking chunks ``i, i + w, i + 2w, ...``: the calling thread is worker 0
+and a pool of ``w - 1`` threads runs the others (numpy's random fills and
+ufuncs release the GIL), so a one-worker run starts no thread.  The workers'
 integer counts are summed, so results are reproducible across platforms and
 do not depend on the CPU count.
 """
@@ -45,8 +55,10 @@ from .errors import ModelDomainError
 from .link import LinkScenario
 
 CHUNK_WINDOWS = 1 << 20
-# Windows per block within a chunk: a block's raw words stay in a core's cache.
-_BLOCK_WINDOWS = 1 << 16
+# Windows per block of the window loop, and most clicks per piece of the per-click
+# stage: a block's raw words take 128 KB, so one step's arrays stay in a core's cache
+# and bound a worker's working set, besides one byte per click.
+_BLOCK_WINDOWS = 1 << 14
 
 
 def _is_whole(x, lo: int, hi: float = math.inf) -> bool:
@@ -189,7 +201,7 @@ def _chunk_counts(cfg: McConfig, stats: link.ChannelStats, j: int, n: int) -> tu
     the floor of Bob's delay, and the other signal clicks against b.
     """
     signal = _chunk_rng(cfg.seed, j).bit_generator  # the signal words
-    tail = _chunk_rng(cfg.seed, j, skip=n)  # the dark words, then the per-click draws
+    tail = _chunk_rng(cfg.seed, j, skip=n)  # the dark words, then the error uniforms
     sig_limit = _word_limit(stats.p_signal)
     dark_limit = _word_limit(stats.p_dark)
     block = min(n, _BLOCK_WINDOWS)
@@ -202,21 +214,28 @@ def _chunk_counts(cfg: McConfig, stats: link.ChannelStats, j: int, n: int) -> tu
         _below(tail.bit_generator, m, dark_limit, click[:m])
         np.logical_or(sig[:m], click[:m], out=click[:m])
         kept.append(sig[:m][click[:m]])
-    del click  # the block mask would otherwise outlive the per-click stage
+    del sig, click  # free the block arrays before the per-click stage
     sig = np.concatenate(kept)  # from here on, one entry per clicked window
+    del kept
     k = sig.size
-    u = tail.random(k)  # before the attack draws, so skipping them at fraction 0 moves no count
-    errors = np.count_nonzero(~sig & (u < 0.5))
-    if cfg.ir_fraction > 0.0:
-        attacked_error = _attacked_error(cfg)
-        attacked = tail.random(k) < cfg.ir_fraction
-        attacked &= sig
-        # one call: numpy's bounded draws pair up 32-bit halves within a call
-        bob_idx = tail.integers(0, len(attacked_error), size=k)
-        for i, e in enumerate(attacked_error):
-            errors += np.count_nonzero(attacked & (bob_idx == i) & (u < e))
-        sig &= ~attacked
-    errors += np.count_nonzero(sig & (u < cfg.scenario.baseline_error))
+    b = cfg.scenario.baseline_error
+    intercept = cfg.ir_fraction > 0.0  # at fraction 0 the attack draws are skipped: no count moves
+    if intercept:
+        floors = np.array(_attacked_error(cfg))
+        attack = _chunk_rng(cfg.seed, j, skip=2 * n + k)
+        bob = _chunk_rng(cfg.seed, j, skip=2 * n + 2 * k)
+    errors = 0
+    for start in range(0, k, _BLOCK_WINDOWS):
+        piece = sig[start:start + _BLOCK_WINDOWS]
+        u = tail.random(piece.size)
+        errors += np.count_nonzero(~piece & (u < 0.5))
+        if intercept:
+            attacked = attack.random(piece.size) < cfg.ir_fraction
+            attacked &= piece
+            bob_floor = floors[bob.integers(0, floors.size, size=piece.size)]
+            errors += np.count_nonzero(attacked & (u < bob_floor))
+            piece &= ~attacked
+        errors += np.count_nonzero(piece & (u < b))
     return k, int(errors)
 
 
@@ -239,8 +258,10 @@ def _sample(cfg: McConfig) -> McResult:
 
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
-        totals = list(pool.map(stride, range(workers)))
+    # the pool starts a thread only when a stride is submitted to it
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        others = pool.map(stride, range(1, workers))
+        totals = [stride(0), *others]
     return McResult.from_counts(n_pulses, sum(k for k, _ in totals), sum(e for _, e in totals))
 
 

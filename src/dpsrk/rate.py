@@ -221,7 +221,10 @@ def optimize_mu(
     search refines the bracket below 1e-5.  Ties break toward smaller mu.
     When the rate is zero over the whole range the returned point carries
     the insecure flag.  ``_grid_rates`` screens the grid for
-    ``_search.grid_bracket``, so the result is that of a scalar scan.
+    ``_search.grid_bracket``, so the result is that of a scalar scan.  A
+    positive window narrower than the grid step can still be missed; when
+    it is the only one, ``lo`` is returned with a point carrying the
+    insecure flag.
     """
     lo, hi = mu_range
     if not 0.0 < lo < hi <= 1.0:

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,27 @@ class TestSimulateLink:
         assert montecarlo._usable_cpus() == 1
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         assert montecarlo._usable_cpus() == 3
+
+    @pytest.mark.parametrize("workers, chunks", [(1, 3), (2, 5), (3, 2)])
+    def test_calling_thread_samples_the_first_stride(self, monkeypatch, workers, chunks):
+        ran = {}  # chunk -> the thread that sampled it
+
+        def counts(cfg, stats, j, n):
+            ran[j] = threading.get_ident()
+            return n, 0
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_chunk_counts", counts)
+        threads = threading.active_count()
+        result = simulate_link(McConfig(scenario=si_scenario(), n_pulses=chunks * CHUNK_WINDOWS,
+                                        seed=1))
+        assert result.clicks == chunks * CHUNK_WINDOWS
+        used = min(workers, chunks)
+        caller = threading.get_ident()
+        assert sorted(ran) == list(range(chunks))
+        assert [ran[j] == caller for j in ran] == [j % used == 0 for j in ran]
+        assert len({ran[j] for j in ran}) == used  # one thread per stride
+        assert threading.active_count() == threads  # the pool's threads have exited
 
     @pytest.mark.parametrize("simulate", [simulate_link, simulate_intercept_resend])
     @pytest.mark.parametrize(
@@ -302,6 +324,49 @@ class TestChunkClassCounts:
         finally:
             tracemalloc.stop()
         assert peak < 1600 * 1024
+
+
+class TestPerClickPieces:
+    """The per-click stage reads its draws in pieces, from cursors that each keep stream order."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        c=st.sampled_from([2, 3, 1000, 10**6 + 3]),
+        skip=st.integers(0, 9),
+        sizes=st.lists(st.integers(1, 50), min_size=1, max_size=8),
+    )
+    @example(c=3, skip=0, sizes=[1] * 5)
+    @example(c=10**6 + 3, skip=5, sizes=[2, 7, 1, 4])
+    def test_bounded_draws_in_pieces_equal_one_call(self, c, skip, sizes):
+        # Bob's indices are read in pieces from a cursor of their own: Philox keeps the
+        # spare 32-bit half of a bounded draw between calls
+        cursor = montecarlo._chunk_rng(11, 2, skip=skip)
+        pieces = [cursor.integers(0, c, size=m) for m in sizes]
+        whole = montecarlo._chunk_rng(11, 2, skip=skip).integers(0, c, size=sum(sizes))
+        assert np.array_equal(np.concatenate(pieces), whole)
+
+    def test_thousand_delay_choices_equal_the_threshold_reference(self):
+        cfg = McConfig(scenario=_preset_scenario(), n_pulses=CHUNK_WINDOWS, seed=7,
+                       ir_fraction=1.0, eve_delay_m=2, bob_delay_choices=tuple(range(1, 1001)))
+        counts = montecarlo._chunk_counts(cfg, channel_stats(cfg.scenario), 0, CHUNK_WINDOWS)
+        assert counts == reference_chunk_counts(cfg, 0, CHUNK_WINDOWS, intercept=True)
+
+    def test_every_window_clicking_keeps_one_piece_in_memory(self):
+        # per-click arrays of the whole chunk peaked at about 21,500 KB on numpy 2.4.6;
+        # one byte per click and one 2**14 piece's arrays at about 2,100 KB
+        cfg = McConfig(scenario=always_click_scenario(), n_pulses=CHUNK_WINDOWS, seed=7,
+                       ir_fraction=1.0, **IR_KW)
+        stats = channel_stats(cfg.scenario)
+        counts = montecarlo._chunk_counts(cfg, stats, 0, CHUNK_WINDOWS)
+        assert counts == reference_chunk_counts(cfg, 0, CHUNK_WINDOWS, intercept=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            montecarlo._chunk_counts(cfg, stats, 0, CHUNK_WINDOWS)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 1024
 
 
 class _Words:
